@@ -4,15 +4,17 @@ integrality, adjacency matrices, and JSON (de)serialization."""
 from __future__ import annotations
 
 import json
+import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Literal, Optional, Sequence
+from typing import Iterable, Iterator, Literal, Optional, Sequence
 
 import numpy as np
 
 from .boolfn import hadamard_transform
-from .cyclotomic import RootOfUnitySum
+from .cyclotomic import RootOfUnitySum, ramanujan_row
 from .errors import (
     AsymmetricSetError,
     DisconnectedGraphWarning,
@@ -83,6 +85,32 @@ class CayleyGraph:
         closure = self.group.subgroup_generated(self.connection.elements)
         return len(closure) == self.group.n
 
+    @cached_property
+    def unit_orbits(self) -> Optional[tuple[tuple[Element, int], ...]]:
+        """The connection set as a union of unit orbits {k s : k in U(d)},
+        d = ord(s): one (s, d) per orbit, s its smallest element; None as
+        soon as some k s is missing from the set.
+
+        By Bridges-Mena (1982) the graph is integral exactly when this is
+        not None; each orbit then adds the Ramanujan sum c_d to the
+        spectrum."""
+        G = self.group
+        members = set(self.connection.elements)
+        seen: set[Element] = set()
+        reps = []
+        for s in self.connection:
+            if s in seen:
+                continue
+            d = G.element_order(s)
+            for k in range(1, d):
+                if math.gcd(k, d) == 1:
+                    t = G.scale(k, s)
+                    if t not in members:
+                        return None
+                    seen.add(t)
+            reps.append((s, d))
+        return tuple(reps)
+
 
 def make_graph(
     orders: Sequence[int], connection: Iterable[Sequence[int]]
@@ -101,6 +129,24 @@ def make_graph(
     return graph
 
 
+class IntegerSpectrumView(Mapping):
+    """Read-only tuple-keyed view of integer eigenvalues as RootOfUnitySum
+    values of a given modulus, each built only when its key is read."""
+
+    def __init__(self, modulus: int, ints: dict[Element, int]):
+        self._modulus = modulus
+        self._ints = ints
+
+    def __getitem__(self, z: Element) -> RootOfUnitySum:
+        return RootOfUnitySum.integer(self._modulus, self._ints[z])
+
+    def __iter__(self) -> Iterator[Element]:
+        return iter(self._ints)
+
+    def __len__(self) -> int:
+        return len(self._ints)
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Exact eigenvalues of a Cayley graph, indexed by group element.
@@ -111,7 +157,7 @@ class Spectrum:
 
     group: FiniteAbelianGroup
     degree: int
-    values: dict[Element, RootOfUnitySum]
+    values: Mapping[Element, RootOfUnitySum]
     integral_values: Optional[dict[Element, int]]
 
     @property
@@ -119,32 +165,39 @@ class Spectrum:
         return self.integral_values is not None
 
 
-SpectrumMethod = Literal["auto", "generic", "walsh"]
+SpectrumMethod = Literal["auto", "generic", "walsh", "ramanujan"]
 
 
 def spectrum(graph: CayleyGraph, method: SpectrumMethod = "auto") -> Spectrum:
     """Exact spectrum; eigenvalue at z is sum over s in S of the root of
     unity with exponent the character pairing of z and s.
 
-    The "walsh" method is the butterfly fast path, valid only when every
-    group factor has order 2; "generic" always works; "auto" picks."""
+    "walsh" is the butterfly fast path, valid only when every group factor
+    has order 2.  "ramanujan" sums one Ramanujan sum per unit orbit of S,
+    valid only when S is a union of unit orbits.  "generic" reduces one
+    cyclotomic count vector per element and always works; it is the
+    reference for the other two.  "auto" picks walsh, then ramanujan, then
+    generic.  The fast paths give integers; `values` then reads them as
+    RootOfUnitySum on demand."""
     G = graph.group
     if method == "auto":
-        method = "walsh" if G.exponent == 2 else "generic"
+        if G.exponent == 2:
+            method = "walsh"
+        elif graph.unit_orbits is not None:
+            method = "ramanujan"
+        else:
+            method = "generic"
     if method == "walsh":
         if G.exponent != 2:
             raise ValueError("the butterfly method requires a group of exponent 2")
         indicator = np.zeros(G.n, dtype=np.int64)
         for s in graph.connection:
             indicator[G.rank(s)] = 1
-        lam = hadamard_transform(indicator)
-        values: dict[Element, RootOfUnitySum] = {}
-        ints: dict[Element, int] = {}
-        for z in G.elements():
-            v = int(lam[G.rank(z)])
-            values[z] = RootOfUnitySum.integer(2, v)
-            ints[z] = v
-        return Spectrum(G, graph.degree, values, ints)
+        return _integer_spectrum(graph, hadamard_transform(indicator))
+    if method == "ramanujan":
+        if graph.unit_orbits is None:
+            raise ValueError("the Ramanujan method requires a unit-closed connection set")
+        return _integer_spectrum(graph, _ramanujan_eigenvalues(graph))
 
     e = G.exponent
     values = {}
@@ -165,19 +218,41 @@ def spectrum(graph: CayleyGraph, method: SpectrumMethod = "auto") -> Spectrum:
     return Spectrum(G, graph.degree, values, ints if integral else None)
 
 
+def _ramanujan_eigenvalues(graph: CayleyGraph) -> np.ndarray:
+    """Eigenvalues in rank order of a graph whose set is a union of unit
+    orbits.  The orbit of s, d = ord(s), adds c_d(j) at z, where the
+    character pairing of z and s is j * (e / d) mod e."""
+    G = graph.group
+    e = G.exponent
+    # int64 is exact here: pairings stay below len(orders) * e, eigenvalues
+    # below |S|, and row * c below the square of a factor order.
+    coords = np.indices(G.orders, dtype=np.int64).reshape(len(G.orders), G.n)
+    lam = np.zeros(G.n, dtype=np.int64)
+    for s, d in graph.unit_orbits:
+        pairing = np.zeros(G.n, dtype=np.int64)
+        for row, c, m in zip(coords, s, G.orders):
+            if c:
+                pairing += (e // m) * (row * c % m)
+        lam += np.asarray(ramanujan_row(d), dtype=np.int64)[pairing // (e // d) % d]
+    return lam
+
+
+def _integer_spectrum(graph: CayleyGraph, lam: np.ndarray) -> Spectrum:
+    G = graph.group
+    ints = dict(zip(G.elements(), lam.tolist()))
+    return Spectrum(G, graph.degree, IntegerSpectrumView(G.exponent, ints), ints)
+
+
 def is_integral(graph: CayleyGraph) -> bool:
-    """True iff every eigenvalue of the graph is an integer."""
-    return spectrum(graph).is_integral
+    """True iff every eigenvalue of the graph is an integer; by
+    Bridges-Mena, iff the connection set is a union of unit orbits."""
+    return graph.unit_orbits is not None
 
 
 def unit_closed(graph: CayleyGraph) -> bool:
     """True iff the connection set is closed under multiplication by every
     unit of Z_exponent (equivalent to an integral spectrum)."""
-    G = graph.group
-    members = set(graph.connection.elements)
-    return all(
-        G.scale(unit, s) in members for unit in G.units() for s in members
-    )
+    return graph.unit_orbits is not None
 
 
 def adjacency_matrix(graph: CayleyGraph) -> np.ndarray:

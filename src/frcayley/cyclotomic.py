@@ -10,6 +10,7 @@ magnitude can overflow.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -89,6 +90,49 @@ class IntPolynomial:
 def _divisors(e: int) -> list[int]:
     out = [d for d in range(1, e + 1) if e % d == 0]
     return out
+
+
+def _factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: multiplicity} by trial division."""
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _totient(n: int) -> int:
+    out = n
+    for p in _factorize(n):
+        out = out // p * (p - 1)
+    return out
+
+
+def _mobius(n: int) -> int:
+    mult = _factorize(n).values()
+    return 0 if any(k > 1 for k in mult) else (-1) ** len(mult)
+
+
+@lru_cache(maxsize=None)
+def _von_sterneck(d: int, g: int) -> int:
+    # c_d(j) for every j with gcd(d, j) = g.
+    q = d // g
+    return _mobius(q) * (_totient(d) // _totient(q))
+
+
+@lru_cache(maxsize=None)
+def ramanujan_row(d: int) -> tuple[int, ...]:
+    """Ramanujan sums c_d(j) for j = 0, ..., d - 1: the sum of the j-th
+    powers of the primitive d-th roots of unity, an integer given exactly by
+    von Sterneck's formula mu(d/g) phi(d) / phi(d/g) with g = gcd(d, j)."""
+    if d < 1:
+        raise ValueError(f"order must be >= 1, got {d}")
+    return tuple(_von_sterneck(d, math.gcd(d, j)) for j in range(d))
 
 
 @lru_cache(maxsize=None)

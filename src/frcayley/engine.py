@@ -53,10 +53,12 @@ def split_by_involution(group: FiniteAbelianGroup, a: Element) -> InvolutionSpli
         c = group.character_exponent(a, g)
         if c == 0:
             plus.append(g)
-        else:
-            assert 2 * c == e, "involution pairing must be a sign"
+        elif 2 * c == e:
             minus.append(g)
-    assert len(plus) == len(minus), "a sign character splits the group in half"
+        else:
+            raise ArithmeticError(f"pairing of involution {a} with {g} is not a sign")
+    if len(plus) != len(minus):
+        raise ArithmeticError(f"the sign character of {a} does not split the group in half")
     return InvolutionSplit(a, tuple(plus), tuple(minus))
 
 
@@ -95,8 +97,32 @@ def compute_moduli(
     m0 = reduce(math.gcd, (d - lam[g] for g in split.plus), 0)
     m1 = reduce(math.gcd, (lam_ref - lam[g] for g in split.minus), 0)
     m = math.gcd(m0, m1)
-    assert m == 0 or spec.group.n % m == 0, "the modulus divides the group order"
+    if m != 0 and spec.group.n % m != 0:
+        raise ArithmeticError(f"modulus {m} does not divide the group order {spec.group.n}")
     return Moduli(m0, m1, m, reference, d - lam_ref)
+
+
+def valid_k(delta: int, modulus: int) -> tuple[int, ...]:
+    """Every k in [1, modulus] at which a phase gap of k * delta (mod
+    modulus) is neither 0 nor modulus / 2, i.e. gives FR proper."""
+    delta %= modulus
+    half = modulus // 2 if modulus % 2 == 0 else None
+    return tuple(
+        k for k in range(1, modulus + 1) if (k * delta) % modulus not in {0, half}
+    )
+
+
+def _json_int(value: object, field: str) -> int:
+    # bool is an int subclass, and a float would be silently truncated.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SpecFormatError(f"witness field {field!r} must hold integers, got {value!r}")
+    return value
+
+
+def _json_list(value: object, field: str) -> list:
+    if not isinstance(value, list):
+        raise SpecFormatError(f"witness field {field!r} must be a list, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -156,28 +182,22 @@ class FRWitness:
     @classmethod
     def from_json(cls, data: dict) -> "FRWitness":
         try:
-            a = tuple(int(c) for c in data["a"])
-            k = int(data["k"])
-            modulus = int(data["modulus"])
-            rho0 = int(data["rho0"])
-            rho1 = int(data["rho1"])
-        except (KeyError, TypeError, ValueError) as exc:
+            a = tuple(_json_int(c, "a") for c in _json_list(data["a"], "a"))
+            k = _json_int(data["k"], "k")
+            modulus = _json_int(data["modulus"], "modulus")
+            rho0 = _json_int(data["rho0"], "rho0")
+            rho1 = _json_int(data["rho1"], "rho1")
+        except (KeyError, TypeError) as exc:
             raise SpecFormatError(f"malformed witness document: {exc}") from exc
         if modulus < 1 or not 1 <= k <= modulus:
             raise SpecFormatError("witness k must lie in [1, modulus]")
         raw_valid = data.get("valid_k")
         if raw_valid is not None:
-            valid = tuple(int(v) for v in raw_valid)
+            valid = tuple(_json_int(v, "valid_k") for v in _json_list(raw_valid, "valid_k"))
         elif math.gcd(k, modulus) == 1:
             # k is invertible, so delta mod modulus can be recovered from the
             # phase-exponent gap and the valid set recomputed.
-            delta = ((rho0 - rho1) * pow(k, -1, modulus)) % modulus
-            half = modulus // 2 if modulus % 2 == 0 else None
-            valid = tuple(
-                j
-                for j in range(1, modulus + 1)
-                if (j * delta) % modulus not in {0, half}
-            )
+            valid = valid_k((rho0 - rho1) * pow(k, -1, modulus), modulus)
         else:
             raise SpecFormatError(
                 "witness document omits valid_k and it cannot be recovered"
@@ -192,20 +212,19 @@ def decide_fr(
 
     Returns None when the question is vacuous or no rational-phase alignment
     time exists at all: a not an involution (including every element of an
-    odd-order group), non-integral spectrum, or the degenerate edgeless
-    case.  Otherwise returns a witness whose kind is FR, PST, or PERIODIC.
+    odd-order group), non-integral spectrum (a connection set that is not a
+    union of unit orbits, found before any spectrum work), or the degenerate
+    edgeless case.  Otherwise returns a witness whose kind is FR, PST, or PERIODIC.
     The canonical witness uses the smallest k achieving the best available
     kind (FR when the valid set is nonempty, else PST, else PERIODIC); that
     smallest k is always 1."""
     G = graph.group
     a = G.require_element(a)
-    if G.n % 2 == 1 or G.element_order(a) != 2:
+    if G.n % 2 == 1 or G.element_order(a) != 2 or graph.unit_orbits is None:
         return None
     split = split_by_involution(G, a)
     if spec is None:
         spec = spectrum(graph)
-    if not spec.is_integral:
-        return None
     mod = compute_moduli(spec, split)
     if mod.m > 0:
         big_n = mod.m
@@ -213,14 +232,11 @@ def decide_fr(
         return None
     else:
         big_n = 4 * abs(mod.delta)
-    delta = mod.delta % big_n
-    half = big_n // 2 if big_n % 2 == 0 else None
-    valid = tuple(
-        k for k in range(1, big_n + 1) if (k * delta) % big_n not in {0, half}
-    )
+    valid = valid_k(mod.delta, big_n)
     # When delta lands outside {0, N/2} mod N, k = 1 itself is valid, so the
     # canonical witness always sits at k = 1 (FR exists iff 1 is in valid).
-    assert not valid or valid[0] == 1, "k = 1 is valid whenever any k is"
+    if valid and valid[0] != 1:
+        raise ArithmeticError(f"k = {valid[0]} is valid but k = 1 is not")
     k = 1
     lam_ref = spec.integral_values[mod.reference]
     rho0 = (k * spec.degree) % big_n
@@ -231,11 +247,15 @@ def decide_fr(
 def search_all(graph: CayleyGraph) -> list[tuple[Element, FRWitness]]:
     """Classify every involution of the group; one shared spectrum pass.
 
-    Empty for odd group order (no involutions) and for non-integral spectra.
+    Empty for odd group order (no involutions) and for non-integral spectra;
+    both are decided before any spectrum work.
     """
+    involutions = graph.group.involutions()
+    if not involutions or graph.unit_orbits is None:
+        return []
     spec = spectrum(graph)
     out: list[tuple[Element, FRWitness]] = []
-    for a in graph.group.involutions():
+    for a in involutions:
         w = decide_fr(graph, a, spec)
         if w is not None:
             out.append((a, w))

@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 
 from .boolfn import BooleanClass, BooleanFunction, GroupFunction, classify_boolean, plateaued_level, support
 from .cayley import CayleyGraph, make_graph
-from .engine import FRWitness, decide_fr
+from .cyclotomic import ramanujan_row
+from .engine import FRWitness, decide_fr, valid_k
 from .errors import HypothesisViolationError, SpecFormatError, ZeroInSetError
 from .groups import Element, make_group, units_mod
 
@@ -59,11 +60,7 @@ def ramanujan_sum(y: int, p: int, r: int) -> int:
     if r < 1:
         raise ValueError(f"r must be at least 1, got {r}")
     q = p**r
-    if y % q == 0:
-        return p ** (r - 1) * (p - 1)
-    if y % (q // p) == 0:
-        return -(p ** (r - 1))
-    return 0
+    return ramanujan_row(q)[y % q]
 
 
 class FamilyVariant(str, Enum):
@@ -94,12 +91,7 @@ def _fr_prediction(a: Element, modulus: int, rho0: int = 1) -> FRWitness:
     """Witness at k = 1 with plus-phase exponent rho0 and minus-phase -1."""
     rho0 %= modulus
     rho1 = (modulus - 1) % modulus
-    delta = (rho0 - rho1) % modulus
-    half = modulus // 2 if modulus % 2 == 0 else None
-    valid = tuple(
-        k for k in range(1, modulus + 1) if (k * delta) % modulus not in {0, half}
-    )
-    return FRWitness(a, 1, modulus, rho0, rho1, valid)
+    return FRWitness(a, 1, modulus, rho0, rho1, valid_k(rho0 - rho1, modulus))
 
 
 def _require_fr_modulus(n: int, what: str) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import warnings
 
@@ -28,7 +29,13 @@ from frcayley import (
     unit_closed,
     validate_connection_set,
 )
-from helpers import graph_from_set, naive_spectrum_complex, quiet_graph, random_symmetric_set
+from helpers import (
+    graph_from_set,
+    naive_spectrum_complex,
+    quiet_graph,
+    random_symmetric_set,
+    random_unit_closed_set,
+)
 
 
 class TestValidateConnectionSet:
@@ -163,6 +170,114 @@ class TestUnitClosed:
         for name, graph in corpus:
             if unit_closed(graph):
                 assert is_integral(graph), name
+
+
+class TestUnitOrbits:
+    def test_units_graph_representatives(self, units_graph):
+        # U(9) acting on (0, 1) is one orbit of six; (1, 0) is its own orbit.
+        assert units_graph.unit_orbits == (((0, 1), 9), ((1, 0), 2))
+
+    def test_orbits_partition_the_set(self, corpus):
+        for name, graph in corpus:
+            if graph.unit_orbits is None:
+                continue
+            G = graph.group
+            sizes = [
+                len({G.scale(k, s) for k in range(1, d) if math.gcd(k, d) == 1})
+                for s, d in graph.unit_orbits
+            ]
+            assert sum(sizes) == graph.degree, name
+            assert all(G.element_order(s) == d for s, d in graph.unit_orbits), name
+
+    def test_missing_multiple_gives_none(self):
+        # 2 * (0, 1) = (0, 2) is missing from the cycle-like set.
+        assert quiet_graph([2, 9], [(0, 1), (0, 8), (1, 0)]).unit_orbits is None
+
+    def test_empty_set_is_closed(self):
+        assert quiet_graph([2, 3], []).unit_orbits == ()
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_bridges_mena_unit_closed_iff_integral(data):
+    # Bridges-Mena (1982): an abelian Cayley graph is integral iff its set is
+    # a union of unit orbits.  The exact generic spectrum is the referee.
+    orders = data.draw(
+        st.lists(st.integers(min_value=2, max_value=12), min_size=1, max_size=3).filter(
+            lambda o: math.prod(o) <= 96
+        )
+    )
+    group = make_group(orders)
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**31)))
+    if data.draw(st.booleans()):
+        s = random_unit_closed_set(group, rng, prob=data.draw(st.sampled_from([0.1, 0.35])))
+    else:
+        s = random_symmetric_set(group, rng, prob=data.draw(st.sampled_from([0.1, 0.4])))
+    graph = graph_from_set(group, s)
+    assert unit_closed(graph) == spectrum(graph, method="generic").is_integral
+
+
+def _family_graphs_up_to_100():
+    yield from (
+        fr.build_ramanujan_family(p, r, h).graph
+        for p, r, h in [(3, 2, []), (5, 1, [3]), (3, 1, [5]), (7, 1, [3]), (5, 2, []), (3, 3, [])]
+    )
+    yield from (
+        fr.build_multi_prime_family(pp).graph
+        for pp in [[(2, 2), (3, 2)], [(2, 1), (5, 2)], [(2, 3), (3, 2)], [(2, 2), (5, 2)]]
+    )
+    yield fr.build_plateaued_family([9], [(u,) for u in fr.units_mod(9)]).graph
+    yield fr.build_plateaued_family([27], [(u,) for u in fr.units_mod(27)]).graph
+    yield fr.build_plateaued_family([3, 3], [(0, 1), (0, 2), (1, 0), (2, 0), (1, 1), (2, 2)]).graph
+
+
+class TestRamanujanMethod:
+    """The unit-orbit Ramanujan path against the generic cyclotomic reference."""
+
+    def _check(self, graph, name):
+        fast = spectrum(graph, method="ramanujan")
+        ref = spectrum(graph, method="generic")
+        assert fast.integral_values == ref.integral_values, name
+        for z in graph.group.elements():
+            assert fast.values[z] == ref.values[z], (name, z)
+        assert spectrum(graph).integral_values == ref.integral_values, name
+        if graph.group.exponent == 2:
+            walsh = spectrum(graph, method="walsh")
+            assert fast.integral_values == walsh.integral_values, name
+
+    def test_corpus(self, corpus):
+        checked = 0
+        for name, graph in corpus:
+            if unit_closed(graph):
+                self._check(graph, name)
+                checked += 1
+        assert checked >= 20
+
+    def test_random_unit_closed_sets(self):
+        rng = random.Random(0xBEAD)
+        for orders in ([4, 6], [2, 2, 9], [8, 9], [6, 10], [2, 2, 2, 2]):
+            group = make_group(orders)
+            for i in range(4):
+                s = random_unit_closed_set(group, rng, prob=rng.choice([0.1, 0.3]))
+                self._check(graph_from_set(group, s), f"{orders}-{i}")
+
+    def test_family_graphs(self):
+        for graph in _family_graphs_up_to_100():
+            assert graph.n <= 100
+            self._check(graph, list(graph.group.orders))
+
+    def test_values_view_is_read_only_and_lazy(self, units_graph):
+        values = spectrum(units_graph).values
+        assert len(values) == units_graph.n
+        assert list(values) == list(units_graph.group.elements())
+        assert values[(0, 0)].as_integer() == 7
+        assert values[(0, 0)].modulus == 18
+        with pytest.raises(TypeError):
+            values[(0, 0)] = values[(0, 1)]
+
+    def test_requires_unit_closed_set(self, cycle5):
+        with pytest.raises(ValueError):
+            spectrum(cycle5, method="ramanujan")
 
 
 class TestAdjacencyMatrix:

@@ -240,6 +240,16 @@ class TestVerifyCommand:
         assert report["pass"] is False
         assert report["max_deviation"] > 0.1
 
+    def test_boolean_target_is_malformed(self, capsys, tmp_path, units_graph):
+        doc = decide_fr(units_graph, (1, 0)).to_json()
+        doc["a"] = [True, False]
+        spec = write_json(tmp_path, "g.json", graph_to_json(units_graph))
+        cert = write_json(tmp_path, "w.json", doc)
+        code, out, err = run(capsys, ["verify", spec, cert])
+        assert code == 2
+        assert out == ""
+        assert "'a'" in err
+
     def test_wrong_target_fails(self, capsys, tmp_path, units_graph):
         w = decide_fr(units_graph, (1, 0))
         doc = w.to_json()

@@ -5,13 +5,20 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frcayley as fr
+from frcayley import engine
 from frcayley import (
+    FiniteAbelianGroup,
     FRWitness,
     NotInvolutionError,
     SpecFormatError,
@@ -25,7 +32,8 @@ from frcayley import (
     split_by_involution,
     verify_fr,
 )
-from helpers import graph_from_set, quiet_graph, random_symmetric_set
+from frcayley.cayley import Spectrum
+from helpers import graph_from_set, quiet_graph, random_symmetric_set, random_unit_closed_set
 
 
 class TestSplitByInvolution:
@@ -263,6 +271,111 @@ class TestWitnessInvariants:
             assert w.kind in (WitnessKind.FR, WitnessKind.PST, WitnessKind.PERIODIC)
 
 
+class TestIntegralityFirst:
+    """Non-integral graphs and odd-order groups are settled from the
+    connection set alone, before any spectrum work."""
+
+    def test_large_non_integral_graph_rejected_in_small_memory(self):
+        # Z2 x Z_20000, S = {(0, +-1), (1, 0)}: the generic path would store
+        # 40000 count vectors of length 20000 (gigabytes) before rejecting.
+        group = make_group([2, 20000])
+        graph = graph_from_set(group, [(0, 1), (0, 19999), (1, 0)])
+        tracemalloc.start()
+        try:
+            assert decide_fr(graph, (1, 0)) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_odd_order_search_computes_no_spectrum(self, monkeypatch):
+        def no_spectrum(*args, **kwargs):
+            raise AssertionError("spectrum computed")
+
+        monkeypatch.setattr(engine, "spectrum", no_spectrum)
+        rng = random.Random(3)
+        for orders in ([9], [3, 9], [5, 5], [3, 3, 3]):
+            group = make_group(orders)
+            for s in (random_symmetric_set(group, rng), random_unit_closed_set(group, rng)):
+                assert search_all(graph_from_set(group, s)) == [], orders
+
+    def test_non_integral_decided_before_split_or_spectrum(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("split or spectrum computed")
+
+        monkeypatch.setattr(engine, "spectrum", fail)
+        monkeypatch.setattr(engine, "split_by_involution", fail)
+        graph = quiet_graph([2, 8], [(0, 1), (0, 7), (1, 0)])
+        assert decide_fr(graph, (1, 0)) is None
+        assert decide_fr(graph, (0, 4)) is None
+        assert search_all(graph) == []
+
+
+# Each invariant with a fragment of the message its check raises.
+INVARIANTS = {
+    "sign": "not a sign",
+    "half": "in half",
+    "modulus": "does not divide",
+    "k1": "k = 1 is not",
+}
+
+
+def violate(case: str) -> None:
+    """Run one step of the decision path with one invariant broken."""
+    patches = {
+        # Balanced halves, but the pairing 1 is no sign in exponent 4.
+        "sign": (FiniteAbelianGroup, "character_exponent", lambda self, g, h: h[0] % 2),
+        "half": (FiniteAbelianGroup, "character_exponent", lambda self, g, h: 0),
+        "k1": (engine, "valid_k", lambda delta, modulus: (2, 3)),
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        if case in patches:
+            mp.setattr(*patches[case])
+        group = make_group([4])
+        if case in ("sign", "half"):
+            split_by_involution(group, (2,))
+        elif case == "modulus":
+            # m0 = gcd(5 - 5, 5 - 2) = 3 does not divide n = 4.
+            spec = Spectrum(group, 5, {}, {(0,): 5, (1,): 0, (2,): 2, (3,): 0})
+            compute_moduli(spec, split_by_involution(group, (2,)))
+        else:
+            decide_fr(quiet_graph([2, 3], [(0, 1), (0, 2), (1, 0)]), (1, 0))
+
+
+class TestInvariantChecks:
+    """Invariants of the decision path raise explicitly; none is an assert."""
+
+    @pytest.mark.parametrize("case", INVARIANTS)
+    def test_violation_raises(self, case):
+        with pytest.raises(ArithmeticError, match=INVARIANTS[case]):
+            violate(case)
+
+    def test_checks_survive_python_optimize(self):
+        # python -O strips assert statements; the engine's checks must stay.
+        paths = [str(Path(__file__).parent), str(Path(fr.__file__).parents[1])]
+        script = textwrap.dedent(
+            f"""
+            import sys
+            sys.path[:0] = {paths!r}
+            from test_engine import INVARIANTS, violate
+            for case in INVARIANTS:
+                try:
+                    violate(case)
+                except ArithmeticError as exc:
+                    print(exc)
+                else:
+                    print("not raised")
+            """
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, check=True
+        )
+        lines = out.stdout.splitlines()
+        assert len(lines) == len(INVARIANTS)
+        for line, fragment in zip(lines, INVARIANTS.values()):
+            assert fragment in line
+
+
 class TestWitnessJson:
     def test_roundtrip(self, corpus):
         for name, graph in corpus:
@@ -303,6 +416,28 @@ class TestWitnessJson:
         doc = decide_fr(units_graph, (1, 0)).to_json()
         del doc["rho0"]
         with pytest.raises(SpecFormatError):
+            FRWitness.from_json(doc)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("a", [True, False]),
+            ("a", [1.9, 0]),
+            ("a", "10"),
+            ("k", 1.0),
+            ("k", True),
+            ("modulus", 3.0),
+            ("rho0", "1"),
+            ("rho1", None),
+            ("valid_k", [1, 2.0]),
+            ("valid_k", [True, 2]),
+            ("valid_k", "12"),
+        ],
+    )
+    def test_rejects_non_integer_fields(self, units_graph, field, value):
+        doc = decide_fr(units_graph, (1, 0)).to_json()
+        doc[field] = value
+        with pytest.raises(SpecFormatError, match=field):
             FRWitness.from_json(doc)
 
     def test_rejects_out_of_range_k(self, units_graph):
