@@ -159,11 +159,13 @@ def classify_boolean(f: BooleanFunction) -> BooleanClass:
 
 
 def support_size_check(f: BooleanFunction) -> int:
-    """Support size of a bent function; asserts |supp| = 2^(n-1) ± 2^(n/2-1)."""
+    """Support size of a bent function; raises ValueError unless
+    |supp| = 2^(n-1) ± 2^(n/2-1)."""
     size = f.weight
     half = f.n // 2
     allowed = {(1 << (f.n - 1)) - (1 << (half - 1)), (1 << (f.n - 1)) + (1 << (half - 1))}
-    assert size in allowed, f"bent support size {size} outside {sorted(allowed)}"
+    if size not in allowed:
+        raise ValueError(f"bent support size {size} outside {sorted(allowed)}")
     return size
 
 
@@ -267,7 +269,8 @@ def plateaued_level(f: GroupFunction, p: int) -> Optional[tuple[int, int]]:
             "the function is not constant on unit-multiplication orbits"
         )
     ints = fourier_integers(f)
-    assert ints is not None, "class functions always have integer Fourier spectra"
+    if ints is None:
+        raise ArithmeticError("a class function has an irrational Fourier coefficient")
     base = ints[0]
     spread = 0
     for v in ints[1:]:

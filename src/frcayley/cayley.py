@@ -22,6 +22,7 @@ from .errors import (
     ZeroInSetError,
 )
 from .groups import Element, FiniteAbelianGroup, make_group
+from .ioutil import _json_int_list, _json_int_rows, _json_object
 
 
 @dataclass(frozen=True)
@@ -34,9 +35,6 @@ class ConnectionSet:
     def d(self) -> int:
         """Degree of the Cayley graph (size of the set)."""
         return len(self.elements)
-
-    def __contains__(self, g: Element) -> bool:
-        return g in set(self.elements)
 
     def __iter__(self):
         return iter(self.elements)
@@ -281,33 +279,13 @@ def graph_from_json(data: dict | str) -> CayleyGraph:
             data = json.loads(data)
         except json.JSONDecodeError as exc:
             raise SpecFormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SpecFormatError("graph document must be a JSON object")
-    if "group" not in data or "set" not in data:
-        raise SpecFormatError('graph document must have "group" and "set" keys')
-    orders = data["group"]
-    raw_set = data["set"]
-    if not isinstance(orders, list) or not all(isinstance(m, int) for m in orders):
-        raise SpecFormatError('"group" must be a list of integers')
-    if not isinstance(raw_set, list) or not all(
-        isinstance(row, list) and all(isinstance(c, int) for c in row)
-        for row in raw_set
-    ):
-        raise SpecFormatError('"set" must be a list of integer coordinate lists')
+    doc = _json_object(data, "graph document", ("group", "set"))
+    orders = _json_int_list(doc["group"], "group")
+    rows = _json_int_rows(doc["set"], "set")
     group = make_group(orders)
-    reduced = []
-    for row in raw_set:
-        if len(row) != len(group.orders):
+    for row in rows:
+        if len(row) != len(orders):
             raise SpecFormatError(
-                f"coordinate row {row} has {len(row)} entries, expected {len(group.orders)}"
+                f"coordinate row {row} has {len(row)} entries, expected {len(orders)}"
             )
-        reduced.append(group.reduce_coords(tuple(row)))
-    conn = validate_connection_set(reduced, group)
-    graph = CayleyGraph(group, conn)
-    if not graph.connected:
-        warnings.warn(
-            "connection set does not generate the group; the graph is disconnected",
-            DisconnectedGraphWarning,
-            stacklevel=2,
-        )
-    return graph
+    return make_graph(orders, [group.reduce_coords(row) for row in rows])

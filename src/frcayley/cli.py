@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .boolfn import (
@@ -36,7 +35,7 @@ from .engine import FRWitness, WitnessKind, decide_fr, search_all
 from .errors import FrCayleyError, HypothesisViolationError, SpecFormatError
 from .families import build_from_spec, engine_agrees
 from .groups import make_group
-from .ioutil import dump_json
+from .ioutil import _json_int_list, _json_object, dump_json
 from .oracle import verify_fr
 
 EXIT_OK = 0
@@ -44,23 +43,6 @@ EXIT_NEGATIVE = 1
 EXIT_FORMAT = 2
 EXIT_INVALID = 3
 EXIT_HYPOTHESIS = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation: a single command, its inputs, and its knobs."""
-
-    command: str
-    inputs: tuple[str, ...] = ()
-    output: Optional[str] = None
-    tolerance: float = 1e-9
-    flags: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.command:
-            raise ValueError("exactly one command is required")
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
 
 
 def parse_element(text: str) -> tuple[int, ...]:
@@ -79,24 +61,24 @@ def _load_json(path: str):
             raise SpecFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _emit(config: RunConfig, document: dict) -> None:
+def _emit(args: argparse.Namespace, document: dict) -> None:
     text = dump_json(document)
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _cmd_spectrum(config: RunConfig) -> int:
-    graph = graph_from_json(_load_json(config.inputs[0]))
+def _cmd_spectrum(args: argparse.Namespace) -> int:
+    graph = graph_from_json(_load_json(args.spec))
     spec = spectrum(graph)
     if spec.is_integral:
         eigen = [spec.integral_values[z] for z in graph.group.elements()]
     else:
         eigen = [spec.values[z].approx().real for z in graph.group.elements()]
     _emit(
-        config,
+        args,
         {
             "group": list(graph.group.orders),
             "set": [list(s) for s in graph.connection],
@@ -108,12 +90,12 @@ def _cmd_spectrum(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_search(config: RunConfig) -> int:
-    graph = graph_from_json(_load_json(config.inputs[0]))
+def _cmd_search(args: argparse.Namespace) -> int:
+    graph = graph_from_json(_load_json(args.spec))
     results = search_all(graph)
     found = any(w.kind is WitnessKind.FR for _, w in results)
     _emit(
-        config,
+        args,
         {
             "group": list(graph.group.orders),
             "set": [list(s) for s in graph.connection],
@@ -124,49 +106,46 @@ def _cmd_search(config: RunConfig) -> int:
     return EXIT_OK if found else EXIT_NEGATIVE
 
 
-def _cmd_check(config: RunConfig) -> int:
-    graph = graph_from_json(_load_json(config.inputs[0]))
-    a = graph.group.require_element(parse_element(config.flags["a"]))
+def _cmd_check(args: argparse.Namespace) -> int:
+    graph = graph_from_json(_load_json(args.spec))
+    a = graph.group.require_element(parse_element(args.a))
     witness = decide_fr(graph, a)
     if witness is None:
-        _emit(config, {"a": list(a), "kind": "ABSENT"})
+        _emit(args, {"a": list(a), "kind": "ABSENT"})
         return EXIT_NEGATIVE
-    _emit(config, witness.to_json())
+    _emit(args, witness.to_json())
     return EXIT_OK if witness.kind is WitnessKind.FR else EXIT_NEGATIVE
 
 
-def _cmd_construct(config: RunConfig) -> int:
-    built = build_from_spec(_load_json(config.inputs[0]))
+def _cmd_construct(args: argparse.Namespace) -> int:
+    built = build_from_spec(_load_json(args.family))
     document = {
         "graph": graph_to_json(built.graph),
         "prediction": built.prediction_document(),
     }
     code = EXIT_OK
-    if config.flags.get("verify"):
-        report = verify_fr(built.graph, built.prediction, tol=config.tolerance)
+    if args.verify:
+        report = verify_fr(built.graph, built.prediction, tol=args.tol)
         agrees = engine_agrees(built)
         document["verification"] = report.to_json()
         document["engine_agrees"] = agrees
         if not (report.passed and agrees):
             code = EXIT_NEGATIVE
-    _emit(config, document)
+    _emit(args, document)
     return code
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    graph = graph_from_json(_load_json(config.inputs[0]))
-    cert = _load_json(config.inputs[1])
-    if not isinstance(cert, dict):
-        raise SpecFormatError("certificate must be a JSON object")
-    witness = FRWitness.from_json(cert)
-    report = verify_fr(graph, witness, tol=config.tolerance)
-    _emit(config, report.to_json())
+def _cmd_verify(args: argparse.Namespace) -> int:
+    graph = graph_from_json(_load_json(args.spec))
+    witness = FRWitness.from_json(_load_json(args.cert))
+    report = verify_fr(graph, witness, tol=args.tol)
+    _emit(args, report.to_json())
     return EXIT_OK if report.passed else EXIT_NEGATIVE
 
 
-def _cmd_boolfn(config: RunConfig) -> int:
+def _cmd_boolfn(args: argparse.Namespace) -> int:
     try:
-        f = BooleanFunction.from_hex(config.flags["truth_table"])
+        f = BooleanFunction.from_hex(args.truth_table)
     except ValueError as exc:
         raise SpecFormatError(f"bad truth table: {exc}") from exc
     cls = classify_boolean(f)
@@ -176,57 +155,30 @@ def _cmd_boolfn(config: RunConfig) -> int:
         "weight": f.weight,
         "class": cls.value,
     }
-    if config.flags.get("report"):
+    if args.report:
         walsh = walsh_transform(f)
         document["walsh_values"] = [int(v) for v in walsh.values]
         document["distinct_walsh"] = sorted(walsh.distinct())
         document["support"] = [list(x) for x in support(f)]
         document["support_size"] = f.weight
         document["eigenvalues"] = [int(v) for v in eigenvalues_from_walsh(f)]
-    _emit(config, document)
+    _emit(args, document)
     return EXIT_OK if cls is not BooleanClass.NEITHER else EXIT_NEGATIVE
 
 
-def _cmd_plateaued(config: RunConfig) -> int:
-    data = _load_json(config.inputs[0])
-    if (
-        not isinstance(data, dict)
-        or "group" not in data
-        or "values" not in data
-        or not isinstance(data["group"], list)
-        or not isinstance(data["values"], list)
-    ):
-        raise SpecFormatError(
-            'group function document must have "group" (orders) and "values" '
-            "(integers in element order)"
-        )
-    group = make_group(data["group"])
-    try:
-        values = tuple(int(v) for v in data["values"])
-    except (TypeError, ValueError) as exc:
-        raise SpecFormatError(f'bad "values" entry: {exc}') from exc
-    f = GroupFunction(group, values)
-    p = config.flags["p"]
-    level = plateaued_level(f, p)
+def _cmd_plateaued(args: argparse.Namespace) -> int:
+    data = _json_object(_load_json(args.groupfn), "group function document", ("group", "values"))
+    group = make_group(_json_int_list(data["group"], "group"))
+    f = GroupFunction(group, tuple(_json_int_list(data["values"], "values")))
+    level = plateaued_level(f, args.p)
     document = {
         "group": list(group.orders),
-        "p": p,
+        "p": args.p,
         "plateaued": level is not None,
         "level": None if level is None else {"k": level[0], "r": level[1]},
     }
-    _emit(config, document)
+    _emit(args, document)
     return EXIT_OK if level is not None else EXIT_NEGATIVE
-
-
-_HANDLERS = {
-    "spectrum": _cmd_spectrum,
-    "search": _cmd_search,
-    "check": _cmd_check,
-    "construct": _cmd_construct,
-    "verify": _cmd_verify,
-    "boolfn": _cmd_boolfn,
-    "plateaued": _cmd_plateaued,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,74 +190,55 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="exact eigenvalues of a graph spec")
+    p.set_defaults(handler=_cmd_spectrum)
     p.add_argument("spec", help="graph JSON file")
     p.add_argument("-o", "--output", default=None, help="write JSON here instead of stdout")
 
     p = sub.add_parser("search", help="classify every involution")
+    p.set_defaults(handler=_cmd_search)
     p.add_argument("spec", help="graph JSON file")
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("check", help="classify one involution")
+    p.set_defaults(handler=_cmd_check)
     p.add_argument("spec", help="graph JSON file")
     p.add_argument("--a", required=True, help='target element, e.g. "1,0"')
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("construct", help="build a certified family instance")
+    p.set_defaults(handler=_cmd_construct)
     p.add_argument("family", help="family JSON file")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--verify", action="store_true", help="also run the dense verifier")
     p.add_argument("--tol", type=float, default=1e-9)
 
     p = sub.add_parser("verify", help="check a certificate numerically")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("spec", help="graph JSON file")
     p.add_argument("cert", help="certificate JSON file")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("boolfn", help="classify a Boolean function")
+    p.set_defaults(handler=_cmd_boolfn)
     p.add_argument("--truth-table", required=True, help="hex truth table")
     p.add_argument("--report", action="store_true", help="include the Walsh report")
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("plateaued", help="prime-power plateau structure")
+    p.set_defaults(handler=_cmd_plateaued)
     p.add_argument("groupfn", help='JSON file {"group": [...], "values": [...]}')
     p.add_argument("--p", type=int, required=True, help="prime to test")
     p.add_argument("-o", "--output", default=None)
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    inputs: tuple[str, ...] = ()
-    flags: dict = {}
-    if args.command in ("spectrum", "search", "check"):
-        inputs = (args.spec,)
-    if args.command == "check":
-        flags["a"] = args.a
-    if args.command == "construct":
-        inputs = (args.family,)
-        flags["verify"] = args.verify
-    if args.command == "verify":
-        inputs = (args.spec, args.cert)
-    if args.command == "boolfn":
-        flags["truth_table"] = args.truth_table
-        flags["report"] = args.report
-    if args.command == "plateaued":
-        inputs = (args.groupfn,)
-        flags["p"] = args.p
-    return RunConfig(
-        command=args.command,
-        inputs=inputs,
-        output=getattr(args, "output", None),
-        tolerance=getattr(args, "tol", 1e-9),
-        flags=flags,
-    )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        return _HANDLERS[config.command](config)
+        if "tol" in args and not args.tol > 0:
+            raise ValueError(f"tolerance must be positive, got {args.tol}")
+        return args.handler(args)
     except (SpecFormatError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

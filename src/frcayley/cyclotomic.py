@@ -46,21 +46,6 @@ class IntPolynomial:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial.of(out)
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return IntPolynomial.of(out)
-
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if self.is_zero or other.is_zero:
             return IntPolynomial(())

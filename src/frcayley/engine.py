@@ -22,7 +22,8 @@ from .errors import (
     NotInvolutionError,
     SpecFormatError,
 )
-from .groups import Element, FiniteAbelianGroup
+from .groups import MAX_GROUP_ORDER, Element, FiniteAbelianGroup
+from .ioutil import _json_int, _json_int_list, _json_number, _json_object, _json_str
 
 
 class WitnessKind(str, Enum):
@@ -112,19 +113,6 @@ def valid_k(delta: int, modulus: int) -> tuple[int, ...]:
     )
 
 
-def _json_int(value: object, field: str) -> int:
-    # bool is an int subclass, and a float would be silently truncated.
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SpecFormatError(f"witness field {field!r} must hold integers, got {value!r}")
-    return value
-
-
-def _json_list(value: object, field: str) -> list:
-    if not isinstance(value, list):
-        raise SpecFormatError(f"witness field {field!r} must be a list, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class FRWitness:
     """Certificate for the walk at t = 2*pi*k/modulus.
@@ -180,29 +168,66 @@ class FRWitness:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "FRWitness":
-        try:
-            a = tuple(_json_int(c, "a") for c in _json_list(data["a"], "a"))
-            k = _json_int(data["k"], "k")
-            modulus = _json_int(data["modulus"], "modulus")
-            rho0 = _json_int(data["rho0"], "rho0")
-            rho1 = _json_int(data["rho1"], "rho1")
-        except (KeyError, TypeError) as exc:
-            raise SpecFormatError(f"malformed witness document: {exc}") from exc
-        if modulus < 1 or not 1 <= k <= modulus:
+    def from_json(cls, data: object) -> "FRWitness":
+        """Read a certificate, then check each derived field it carries
+        (kind, time, alpha, beta, and valid_k when k is invertible mod the
+        modulus) against its recomputation from k, modulus, rho0 and rho1."""
+        doc = _json_object(data, "witness document", ("a", "k", "modulus", "rho0", "rho1"))
+        a = tuple(_json_int_list(doc["a"], "a"))
+        k = _json_int(doc["k"], "k")
+        modulus = _json_int(doc["modulus"], "modulus")
+        rho0 = _json_int(doc["rho0"], "rho0")
+        rho1 = _json_int(doc["rho1"], "rho1")
+        if not 1 <= modulus <= _MAX_MODULUS:
+            raise SpecFormatError(f"witness modulus must lie in [1, {_MAX_MODULUS}]")
+        if not 1 <= k <= modulus:
             raise SpecFormatError("witness k must lie in [1, modulus]")
-        raw_valid = data.get("valid_k")
-        if raw_valid is not None:
-            valid = tuple(_json_int(v, "valid_k") for v in _json_list(raw_valid, "valid_k"))
-        elif math.gcd(k, modulus) == 1:
+        given = None
+        if doc.get("valid_k") is not None:
+            given = tuple(_json_int_list(doc["valid_k"], "valid_k"))
+        if math.gcd(k, modulus) == 1:
             # k is invertible, so delta mod modulus can be recovered from the
             # phase-exponent gap and the valid set recomputed.
             valid = valid_k((rho0 - rho1) * pow(k, -1, modulus), modulus)
-        else:
+            if given not in (None, valid):
+                raise _mismatch("valid_k")
+        elif given is None:
             raise SpecFormatError(
                 "witness document omits valid_k and it cannot be recovered"
             )
-        return cls(a, k, modulus, rho0 % modulus, rho1 % modulus, valid)
+        else:
+            valid = given
+        witness = cls(a, k, modulus, rho0 % modulus, rho1 % modulus, valid)
+        if "kind" in doc and _json_str(doc["kind"], "kind") != witness.kind.value:
+            raise _mismatch("kind")
+        if "time" in doc and not _close(_json_number(doc["time"], "time"), witness.time):
+            raise _mismatch("time")
+        for field in ("alpha", "beta"):
+            if field in doc:
+                z = _json_object(doc[field], repr(field), ("re", "im"))
+                re = _json_number(z["re"], f"{field}.re")
+                im = _json_number(z["im"], f"{field}.im")
+                if not _close(complex(re, im), getattr(witness, field)):
+                    raise _mismatch(field)
+        return witness
+
+
+# Engine and family moduli divide the group order n, or are 4 |d - lambda|
+# <= 8 n in the two-eigenvalue case; a larger one comes from no accepted graph.
+_MAX_MODULUS = 8 * MAX_GROUP_ORDER
+
+
+def _close(given: complex, expected: complex) -> bool:
+    # The float fields are rounded renderings of exact phases; written so
+    # that NaN is never close.
+    return abs(given - expected) <= 1e-9
+
+
+def _mismatch(field: str) -> SpecFormatError:
+    return SpecFormatError(
+        f"certificate field {field!r} contradicts its recomputation from "
+        "k, modulus, rho0 and rho1"
+    )
 
 
 def decide_fr(

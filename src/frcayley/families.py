@@ -21,6 +21,7 @@ from .cyclotomic import ramanujan_row
 from .engine import FRWitness, decide_fr, valid_k
 from .errors import HypothesisViolationError, SpecFormatError, ZeroInSetError
 from .groups import Element, make_group, units_mod
+from .ioutil import _json_int, _json_int_list, _json_int_rows, _json_object, _json_str
 
 
 def is_prime(n: int) -> bool:
@@ -119,6 +120,7 @@ def build_ramanujan_family(
     big_n = p ** (r - 1) * m
     _require_fr_modulus(big_n, f"p^(r-1) * |H| = {p}^{r - 1} * {m}")
     orders = [2, p**r, *h_orders]
+    make_group(orders)  # the order ceiling, before units_mod(p**r) runs
     zero_tail = (0,) * len(h_orders)
     conn: list[tuple[int, ...]] = []
     h_elements = list(h_group.elements()) if h_group else [()]
@@ -163,6 +165,7 @@ def build_multi_prime_family(
     big_n = math.prod(p ** (r - 1) for p, r in pairs)
     _require_fr_modulus(big_n, "prod p_i^(r_i - 1)")
     orders = [p**r for p, r in pairs]
+    make_group(orders)  # the order ceiling, before units_mod(p**r) runs
     unit_lists = [sorted(units_mod(p**r)) for p, r in pairs]
     conn = [tuple(t) for t in itertools.product(*unit_lists)]
     a = (2 ** (pairs[0][1] - 1),) + (0,) * (len(pairs) - 1)
@@ -304,7 +307,8 @@ def build_cublike_family(
     # canonical modulus is the congruence gcd M (or the free two-eigenvalue
     # fallback, which carries the same role).
     witness = decide_fr(graph, a)
-    assert witness is not None, "exponent-2 spectra are always integral"
+    if witness is None:
+        raise ArithmeticError("decide_fr found no witness on an exponent-2 graph")
     m = witness.modulus
     vs_m = [v for v in (v2(m), v2(d0 + d1), v2(d0 - d1)) if v is not None]
     kappa = min(vs_m) if vs_m else 3
@@ -367,7 +371,8 @@ def engine_agrees(built: BuiltFamily) -> bool:
         return False
     scale = w.modulus // pred.modulus
     k_scaled = pred.k * scale
-    assert w.k == 1, "engine witnesses are canonical at k = 1"
+    if w.k != 1:
+        raise ArithmeticError(f"engine witness has k = {w.k}, not the canonical k = 1")
     # Engine phases at the predicted time: rho0/rho1 scale linearly in k.
     rho0_engine = (k_scaled * w.rho0) % w.modulus
     rho1_engine = (k_scaled * w.rho1) % w.modulus
@@ -383,7 +388,16 @@ def engine_agrees(built: BuiltFamily) -> bool:
     return w.modulus % 2 == 0 and diff == w.modulus // 2
 
 
-def build_from_spec(data: dict) -> BuiltFamily:
+_REQUIRED_KEYS = {
+    FamilyVariant.RAMANUJAN_A: ("p", "r"),
+    FamilyVariant.MULTI_PRIME_B: ("prime_powers",),
+    FamilyVariant.PLATEAUED_C: ("H", "S1"),
+    FamilyVariant.CUBLIKE_D: ("S0", "S1"),
+    FamilyVariant.BENT_E: ("f",),
+}
+
+
+def build_from_spec(data: object) -> BuiltFamily:
     """Dispatch a JSON family description to its builder.
 
     Wire forms:
@@ -393,30 +407,30 @@ def build_from_spec(data: dict) -> BuiltFamily:
       {"variant": "CUBLIKE_D", "S0": [[...]], "S1": [[...]], "n": 4}
       {"variant": "BENT_E", "f": "7888"}
     """
-    if not isinstance(data, dict) or "variant" not in data:
-        raise SpecFormatError('family document must be an object with "variant"')
+    name = _json_str(_json_object(data, "family document", ("variant",))["variant"], "variant")
     try:
-        variant = FamilyVariant(data["variant"])
+        variant = FamilyVariant(name)
     except ValueError as exc:
-        raise SpecFormatError(f"unknown family variant {data['variant']!r}") from exc
-    try:
-        if variant is FamilyVariant.RAMANUJAN_A:
-            return build_ramanujan_family(
-                int(data["p"]), int(data["r"]), list(data.get("H", []))
-            )
-        if variant is FamilyVariant.MULTI_PRIME_B:
-            return build_multi_prime_family(list(data["prime_powers"]))
-        if variant is FamilyVariant.PLATEAUED_C:
-            p = data.get("p")
-            return build_plateaued_family(
-                list(data["H"]), list(data["S1"]), None if p is None else int(p)
-            )
-        if variant is FamilyVariant.CUBLIKE_D:
-            n = data.get("n")
-            return build_cublike_family(
-                list(data["S0"]), list(data["S1"]), None if n is None else int(n)
-            )
-        f = BooleanFunction.from_hex(str(data["f"]))
-        return build_bent_family(f)
-    except KeyError as exc:
-        raise SpecFormatError(f"family document is missing key {exc}") from exc
+        raise SpecFormatError(f"unknown family variant {name!r}") from exc
+    doc = _json_object(data, f"{variant.value} document", _REQUIRED_KEYS[variant])
+
+    def optional_int(key: str) -> Optional[int]:
+        return None if doc.get(key) is None else _json_int(doc[key], key)
+
+    if variant is FamilyVariant.RAMANUJAN_A:
+        h_orders = _json_int_list(doc.get("H", []), "H")
+        return build_ramanujan_family(_json_int(doc["p"], "p"), _json_int(doc["r"], "r"), h_orders)
+    if variant is FamilyVariant.MULTI_PRIME_B:
+        pairs = _json_int_rows(doc["prime_powers"], "prime_powers")
+        if any(len(row) != 2 for row in pairs):
+            raise SpecFormatError('each "prime_powers" row must be a [p, r] pair')
+        return build_multi_prime_family(pairs)
+    if variant is FamilyVariant.PLATEAUED_C:
+        return build_plateaued_family(
+            _json_int_list(doc["H"], "H"), _json_int_rows(doc["S1"], "S1"), optional_int("p")
+        )
+    if variant is FamilyVariant.CUBLIKE_D:
+        return build_cublike_family(
+            _json_int_rows(doc["S0"], "S0"), _json_int_rows(doc["S1"], "S1"), optional_int("n")
+        )
+    return build_bent_family(BooleanFunction.from_hex(_json_str(doc["f"], "f")))

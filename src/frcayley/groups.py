@@ -26,16 +26,26 @@ def units_mod(e: int) -> list[int]:
     return [k for k in range(1, e) if math.gcd(k, e) == 1]
 
 
+# Every layer enumerates the group (connectivity, spectrum, involution split),
+# so a larger order would run unbounded instead of failing up front.
+MAX_GROUP_ORDER = 1 << 20
+
+
 def make_group(orders: Sequence[int]) -> "FiniteAbelianGroup":
-    """Build the direct sum of cyclic groups of the given orders (each >= 2)."""
+    """Build the direct sum of cyclic groups of the given orders (each >= 2),
+    of total order at most MAX_GROUP_ORDER."""
     if not orders:
         raise InvalidGroupError("a group needs at least one cyclic factor")
-    clean = []
+    n = 1
     for m in orders:
         if not isinstance(m, int) or isinstance(m, bool) or m < 2:
             raise InvalidGroupError(f"cyclic factor order must be an integer >= 2, got {m!r}")
-        clean.append(m)
-    return FiniteAbelianGroup(tuple(clean))
+        n *= m
+        if n > MAX_GROUP_ORDER:
+            raise InvalidGroupError(
+                f"group order exceeds the ceiling of {MAX_GROUP_ORDER} elements"
+            )
+    return FiniteAbelianGroup(tuple(orders))
 
 
 @dataclass(frozen=True)

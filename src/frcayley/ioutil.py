@@ -1,9 +1,14 @@
-"""Deterministic JSON serialization helpers shared by the CLI and scripts."""
+"""Deterministic JSON serialization, and the strict readers every input
+document (graph, family, group function, certificate) is parsed through.
+
+A reader returns the value it was given when it has the expected JSON type
+and raises SpecFormatError naming the field otherwise."""
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
+
+from .errors import SpecFormatError
 
 
 def dump_json(data) -> str:
@@ -14,9 +19,49 @@ def dump_json(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def write_json(path: str | Path, data) -> None:
-    Path(path).write_text(dump_json(data), encoding="utf-8")
+def _json_int(value: object, field: str) -> int:
+    # bool is an int subclass, and a float would be silently truncated.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SpecFormatError(f"field {field!r} must hold integers, got {value!r}")
+    return value
 
 
-def complex_to_json(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
+def _json_list(value: object, field: str) -> list:
+    if not isinstance(value, list):
+        raise SpecFormatError(f"field {field!r} must be a list, got {value!r}")
+    return value
+
+
+def _json_int_list(value: object, field: str) -> list[int]:
+    return [_json_int(v, field) for v in _json_list(value, field)]
+
+
+def _json_int_rows(value: object, field: str) -> list[list[int]]:
+    """A list of integer lists, such as a connection set."""
+    return [_json_int_list(row, field) for row in _json_list(value, field)]
+
+
+def _json_str(value: object, field: str) -> str:
+    if not isinstance(value, str):
+        raise SpecFormatError(f"field {field!r} must be a string, got {value!r}")
+    return value
+
+
+def _json_number(value: object, field: str) -> float:
+    """An int or float, as a float; bool and out-of-range ints are refused."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise SpecFormatError(f"field {field!r} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise SpecFormatError(f"field {field!r} is out of float range") from exc
+
+
+def _json_object(value: object, what: str, required: tuple[str, ...]) -> dict:
+    """A JSON object holding every key in `required`."""
+    if not isinstance(value, dict):
+        raise SpecFormatError(f"{what} must be a JSON object")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise SpecFormatError(f"{what} is missing key(s) {missing}")
+    return value

@@ -45,7 +45,8 @@ def eigenvalue_array(graph: CayleyGraph, table: Optional[np.ndarray] = None) -> 
         table = character_table(G)
     rows = [table[G.rank(s), :] for s in graph.connection]
     lam = np.sum(rows, axis=0) if rows else np.zeros(G.n, dtype=complex)
-    assert np.max(np.abs(lam.imag)) < 1e-9, "symmetric sets give real eigenvalues"
+    if not np.max(np.abs(lam.imag)) < 1e-9:
+        raise ArithmeticError("eigenvalues are not real; the connection set is not symmetric")
     return lam.real
 
 

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
 import math
+import tempfile
+import time
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import frcayley as fr
-from frcayley import RunConfig, decide_fr, graph_to_json
+from frcayley import decide_fr, graph_to_json, make_graph
 from frcayley.cli import main
 from conftest import BENT4_SUPPORT, PRISM_SET, UNITS_9, UNITS_SET
 
@@ -34,26 +42,20 @@ def prism_spec(tmp_path):
     return write_json(tmp_path, "prism.json", graph_doc([2, 3], PRISM_SET))
 
 
+def replaced(doc, path, value):
+    """A deep copy of a JSON document with the node at `path` replaced."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-class TestRunConfig:
-    def test_defaults(self):
-        cfg = RunConfig(command="spectrum", inputs=("g.json",))
-        assert cfg.tolerance == 1e-9
-        assert cfg.output is None
-        assert cfg.flags == {}
-
-    def test_rejects_empty_command(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="")
-
-    def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="verify", tolerance=0.0)
 
 
 class TestSpectrumCommand:
@@ -194,6 +196,13 @@ class TestConstructCommand:
         assert code == 4
         assert "hypothesis" in err
 
+    def test_nonpositive_tolerance_is_exit_three(self, capsys, tmp_path):
+        spec = write_json(tmp_path, "famE.json", {"variant": "BENT_E", "f": "7888"})
+        code, out, err = run(capsys, ["construct", spec, "--verify", "--tol", "-1"])
+        assert code == 3
+        assert out == ""
+        assert "tolerance" in err
+
     def test_unknown_variant_is_exit_two(self, capsys, tmp_path):
         spec = write_json(tmp_path, "odd.json", {"variant": "NOPE"})
         code, _, _ = run(capsys, ["construct", spec])
@@ -232,6 +241,7 @@ class TestVerifyCommand:
         w = decide_fr(units_graph, (1, 0))
         doc = w.to_json()
         doc["k"] = 3  # valid_k is retained, so the document parses
+        doc["time"] = 2 * math.pi  # kept consistent with k, so only H(t) can fail
         spec = write_json(tmp_path, "g.json", graph_to_json(units_graph))
         cert = write_json(tmp_path, "w.json", doc)
         code, out, _ = run(capsys, ["verify", spec, cert])
@@ -276,6 +286,36 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert doc["tolerance"] == 1e-15
         assert code == (0 if doc["pass"] else 1)
+
+
+    def test_zero_tolerance_is_exit_three(self, capsys, tmp_path, units_graph):
+        spec, cert = self._write_pair(
+            tmp_path, units_graph, decide_fr(units_graph, (1, 0))
+        )
+        code, out, err = run(capsys, ["verify", spec, cert, "--tol", "0"])
+        assert code == 3
+        assert out == ""
+        assert "tolerance" in err
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("kind",), "PST"),
+            (("valid_k",), [1, 2, 3, 4, 5, 99]),
+            (("time",), 123.0),
+            (("alpha", "re"), 9.0),
+            (("beta", "im"), float("nan")),
+        ],
+        ids=lambda v: ".".join(v) if isinstance(v, tuple) else None,
+    )
+    def test_contradicting_field_is_exit_two(self, capsys, tmp_path, units_graph, path, value):
+        doc = replaced(decide_fr(units_graph, (1, 0)).to_json(), path, value)
+        spec = write_json(tmp_path, "g.json", graph_to_json(units_graph))
+        cert = write_json(tmp_path, "w.json", doc)
+        code, out, err = run(capsys, ["verify", spec, cert])
+        assert code == 2
+        assert out == ""
+        assert repr(path[0]) in err
 
 
 class TestBoolfnCommand:
@@ -403,3 +443,122 @@ class TestPipelineClosure:
             code, out, _ = run(capsys, ["verify", spec_path, cert_path])
             assert code == 0
             assert json.loads(out)["pass"] is True
+
+
+UNITS_DOC = graph_doc([2, 9], UNITS_SET)
+UNITS_FN = {"group": [9], "values": [0, 1, 1, 0, 1, 1, 0, 1, 1]}
+
+
+class TestWrongTypedFields:
+    """Each input document is read strictly: a JSON value of the wrong type
+    (a bool or float where an integer belongs, a scalar where a list does)
+    is malformed input, exit 2, never a truncation or a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, doc, field",
+        [
+            (["spectrum"], replaced(UNITS_DOC, ("set", 6), [True, False]), "set"),
+            (["construct"], {"variant": "RAMANUJAN_A", "p": 3.7, "r": 2, "H": []}, "p"),
+            (["construct"], {"variant": "RAMANUJAN_A", "p": "x", "r": 2, "H": []}, "p"),
+            (["construct"], {"variant": "RAMANUJAN_A", "p": None, "r": 2, "H": []}, "p"),
+            (["construct"], {"variant": "RAMANUJAN_A", "p": 3, "r": 2, "H": 5}, "H"),
+            (["construct"], {"variant": "MULTI_PRIME_B", "prime_powers": 5}, "prime_powers"),
+            (["construct"], {"variant": "BENT_E", "f": 7888}, "f"),
+            (["plateaued", "--p", "3"], replaced(UNITS_FN, ("values", 8), 1.5), "values"),
+            (["plateaued", "--p", "3"], replaced(UNITS_FN, ("values", 1), True), "values"),
+        ],
+    )
+    def test_exit_two(self, capsys, tmp_path, argv, doc, field):
+        path = write_json(tmp_path, "doc.json", doc)
+        code, out, err = run(capsys, [argv[0], path, *argv[1:]])
+        assert code == 2
+        assert out == ""
+        assert repr(field) in err
+        assert "Traceback" not in err
+
+
+class TestGroupOrderCeiling:
+    """Groups above MAX_GROUP_ORDER are refused up front (exit 3) instead of
+    being enumerated."""
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (
+                ["check", "--a", "1,0"],
+                {"group": [2, 10**9], "set": [[0, 1], [0, 10**9 - 1], [1, 0]]},
+            ),
+            (["construct"], {"variant": "RAMANUJAN_A", "p": 10007, "r": 3}),
+            (["construct"], {"variant": "MULTI_PRIME_B", "prime_powers": [[2, 2], [10007, 2]]}),
+        ],
+        ids=["graph", "family-A", "family-B"],
+    )
+    def test_exit_three_within_a_second(self, capsys, tmp_path, argv, doc):
+        path = write_json(tmp_path, "doc.json", doc)
+        start = time.perf_counter()
+        code, out, err = run(capsys, [argv[0], path, *argv[1:]])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert "ceiling" in err
+
+
+def _positions(node, prefix=()):
+    """Paths to every field and list entry below the root of a JSON document."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return []
+    out = []
+    for key, child in children:
+        out.append(prefix + (key,))
+        out.extend(_positions(child, prefix + (key,)))
+    return out
+
+
+UNITS_CERT = decide_fr(make_graph([2, 9], UNITS_SET), (1, 0)).to_json()
+
+# Each subcommand that reads a document, with small valid inputs (n <= 64).
+FUZZ_CASES = {
+    "spectrum": (["spectrum", "{0}"], [UNITS_DOC]),
+    "search": (["search", "{0}"], [UNITS_DOC]),
+    "check": (["check", "{0}", "--a", "1,0"], [UNITS_DOC]),
+    "verify": (["verify", "{0}", "{1}"], [UNITS_DOC, UNITS_CERT]),
+    "plateaued": (["plateaued", "{0}", "--p", "3"], [UNITS_FN]),
+    **{
+        f"construct-{family['variant']}": (["construct", "{0}", "--verify"], [family])
+        for family in TestPipelineClosure.FAMILIES
+    },
+}
+
+WRONG_TYPED = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.lists(st.integers(-3, 3), max_size=2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2),
+)
+
+
+@pytest.mark.parametrize("case", FUZZ_CASES)
+@given(data=st.data())
+def test_one_wrong_typed_value_never_escapes_the_exit_codes(case, data):
+    argv, docs = FUZZ_CASES[case]
+    which = data.draw(st.integers(0, len(docs) - 1))
+    path = data.draw(st.sampled_from(_positions(docs[which])))
+    docs = [replaced(doc, path, data.draw(WRONG_TYPED)) if i == which else doc
+            for i, doc in enumerate(docs)]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, doc in enumerate(docs):
+            paths.append(str(Path(tmp) / f"doc{i}.json"))
+            Path(paths[-1]).write_text(json.dumps(doc))
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = main([arg.format(*paths) for arg in argv])
+    assert isinstance(code, int) and 0 <= code <= 4

@@ -44,8 +44,6 @@ class TestIntPolynomial:
         p = IntPolynomial.of([1, 1])   # 1 + x
         q = IntPolynomial.of([-1, 1])  # -1 + x
         assert (p * q).coeffs == (-1, 0, 1)
-        assert (p + q).coeffs == (0, 2)
-        assert (p - q).coeffs == (2,)
 
     def test_divmod_exact(self):
         num = IntPolynomial.x_pow_minus_one(6)

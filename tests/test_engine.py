@@ -440,6 +440,58 @@ class TestWitnessJson:
         with pytest.raises(SpecFormatError, match=field):
             FRWitness.from_json(doc)
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("kind",), "PST"),
+            (("kind",), "ABSENT"),
+            (("valid_k",), [1, 2, 3, 4, 5, 99]),
+            (("valid_k",), [1]),
+            (("time",), 123.0),
+            (("time",), float("nan")),
+            (("alpha", "re"), 9.0),
+            (("beta", "im"), -math.sqrt(3) / 2),
+        ],
+    )
+    def test_rejects_contradicting_fields(self, units_graph, path, value):
+        doc = decide_fr(units_graph, (1, 0)).to_json()
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(SpecFormatError, match=repr(path[0])):
+            FRWitness.from_json(doc)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("kind", 1),
+            ("time", "2.09"),
+            ("time", True),
+            pytest.param("time", 10**400, id="time-int-beyond-float"),
+            ("alpha", [-0.5, 0.0]),
+            ("alpha", {"re": -0.5}),
+            ("beta", {"re": None, "im": 0.87}),
+        ],
+    )
+    def test_rejects_wrong_typed_derived_fields(self, units_graph, field, value):
+        doc = decide_fr(units_graph, (1, 0)).to_json()
+        doc[field] = value
+        with pytest.raises(SpecFormatError, match=field):
+            FRWitness.from_json(doc)
+
+    def test_float_fields_agree_within_tolerance(self, units_graph):
+        w = decide_fr(units_graph, (1, 0))
+        doc = w.to_json()
+        doc["time"] += 1e-12
+        doc["alpha"]["im"] -= 1e-12
+        assert FRWitness.from_json(doc) == w
+
+    def test_rejects_modulus_no_accepted_graph_gives(self):
+        doc = {"a": [1, 0], "k": 1, "modulus": 10**12, "rho0": 1, "rho1": 0, "valid_k": [1]}
+        with pytest.raises(SpecFormatError, match="modulus"):
+            FRWitness.from_json(doc)
+
     def test_rejects_out_of_range_k(self, units_graph):
         doc = decide_fr(units_graph, (1, 0)).to_json()
         doc["k"] = 0

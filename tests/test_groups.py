@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import frcayley as fr
 from frcayley import InvalidGroupError, RootOfUnitySum, make_group, units_mod
+from frcayley.groups import MAX_GROUP_ORDER
 
 # Small random groups for property tests: one to three cyclic factors.
 group_orders = st.lists(st.integers(min_value=2, max_value=9), min_size=1, max_size=3)
@@ -38,6 +39,13 @@ class TestMakeGroup:
     def test_rejects_empty(self):
         with pytest.raises(InvalidGroupError):
             make_group([])
+
+    def test_order_ceiling(self):
+        assert make_group([2, MAX_GROUP_ORDER // 2]).n == MAX_GROUP_ORDER
+        with pytest.raises(InvalidGroupError, match="ceiling"):
+            make_group([2, MAX_GROUP_ORDER // 2 + 1])
+        with pytest.raises(InvalidGroupError, match="ceiling"):
+            make_group([2] * 10**6)
 
     def test_rejects_non_integer(self):
         with pytest.raises(InvalidGroupError):
