@@ -80,8 +80,7 @@ class CayleyGraph:
 
     @cached_property
     def connected(self) -> bool:
-        closure = self.group.subgroup_generated(self.connection.elements)
-        return len(closure) == self.group.n
+        return self.group.is_generated_by(self.connection.elements)
 
     @cached_property
     def unit_orbits(self) -> Optional[tuple[tuple[Element, int], ...]]:

@@ -113,6 +113,26 @@ def valid_k(delta: int, modulus: int) -> tuple[int, ...]:
     )
 
 
+def _is_valid_k(given: tuple[int, ...], delta: int, modulus: int) -> bool:
+    """given == valid_k(delta, modulus), decided in O(len(given)): a strictly
+    increasing list in [1, modulus] that avoids both excluded progressions
+    and has the size of their complement."""
+    delta %= modulus
+    half = modulus // 2 if modulus % 2 == 0 else None
+    g = math.gcd(delta, modulus)
+    # g values of k give k * delta = 0, and g more give modulus / 2 when g
+    # divides it
+    size = modulus - g - (g if half is not None and half % g == 0 else 0)
+    if len(given) != size:
+        return False
+    previous = 0
+    for k in given:
+        if not previous < k <= modulus or (k * delta) % modulus in (0, half):
+            return False
+        previous = k
+    return True
+
+
 @dataclass(frozen=True)
 class FRWitness:
     """Certificate for the walk at t = 2*pi*k/modulus.
@@ -187,9 +207,13 @@ class FRWitness:
             given = tuple(_json_int_list(doc["valid_k"], "valid_k"))
         if math.gcd(k, modulus) == 1:
             # k is invertible, so delta mod modulus can be recovered from the
-            # phase-exponent gap and the valid set recomputed.
-            valid = valid_k((rho0 - rho1) * pow(k, -1, modulus), modulus)
-            if given not in (None, valid):
+            # phase-exponent gap and the valid set checked or recomputed.
+            delta = (rho0 - rho1) * pow(k, -1, modulus)
+            if given is None:
+                valid = valid_k(delta, modulus)
+            elif _is_valid_k(given, delta, modulus):
+                valid = given
+            else:
                 raise _mismatch("valid_k")
         elif given is None:
             raise SpecFormatError(

@@ -19,8 +19,8 @@ from .boolfn import BooleanClass, BooleanFunction, GroupFunction, classify_boole
 from .cayley import CayleyGraph, make_graph
 from .cyclotomic import ramanujan_row
 from .engine import FRWitness, decide_fr, valid_k
-from .errors import HypothesisViolationError, SpecFormatError, ZeroInSetError
-from .groups import Element, make_group, units_mod
+from .errors import HypothesisViolationError, InvalidGroupError, SpecFormatError, ZeroInSetError
+from .groups import MAX_GROUP_ORDER, Element, make_group, units_mod
 from .ioutil import _json_int, _json_int_list, _json_int_rows, _json_object, _json_str
 
 
@@ -95,6 +95,16 @@ def _fr_prediction(a: Element, modulus: int, rho0: int = 1) -> FRWitness:
     return FRWitness(a, 1, modulus, rho0, rho1, valid_k(rho0 - rho1, modulus))
 
 
+def _require_bounded_prime_power(p: int, r: int) -> None:
+    """Refuse a factor Z_{p^r} above the group-order ceiling before any
+    primality test or power of p runs on it."""
+    if p >= 2 and r >= 1 and (p > MAX_GROUP_ORDER or r >= MAX_GROUP_ORDER.bit_length()):
+        raise InvalidGroupError(
+            f"the factor Z_{{{p}^{r}}} exceeds the group order ceiling of "
+            f"{MAX_GROUP_ORDER} elements"
+        )
+
+
 def _require_fr_modulus(n: int, what: str) -> None:
     if n in (1, 2, 4):
         raise HypothesisViolationError(
@@ -111,6 +121,7 @@ def build_ramanujan_family(
 
     Requires p an odd prime, r >= 1, and N = p^(r-1) * |H| outside {1, 2, 4}.
     Predicts FR at t = 2*pi/N with phases (e^{it}, e^{-it})."""
+    _require_bounded_prime_power(p, r)
     if not is_prime(p) or p == 2:
         raise HypothesisViolationError(f"p must be an odd prime, got {p}")
     if r < 1:
@@ -158,6 +169,7 @@ def build_multi_prime_family(
     if len(set(primes)) != len(primes):
         raise HypothesisViolationError(f"primes must be distinct, got {primes}")
     for p, r in pairs:
+        _require_bounded_prime_power(p, r)
         if not is_prime(p):
             raise HypothesisViolationError(f"{p} is not prime")
         if r < 1:
@@ -211,11 +223,12 @@ def build_plateaued_family(
     candidates = (
         [p]
         if p is not None
-        else [q for q in range(2, d1 + 1) if is_prime(q) and d1 % q == 0]
+        else [q for q in range(2, d1 + 1) if d1 % q == 0 and is_prime(q)]
     )
     chosen: Optional[tuple[int, int]] = None
     for q in candidates:
-        if p is not None and (not is_prime(q) or d1 % q != 0):
+        # d1 % q first: it bounds q by |S1| before any trial division
+        if p is not None and (q < 2 or d1 % q != 0 or not is_prime(q)):
             raise HypothesisViolationError(
                 f"p = {q} must be a prime divisor of |S1| = {d1}"
             )

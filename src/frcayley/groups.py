@@ -26,9 +26,47 @@ def units_mod(e: int) -> list[int]:
     return [k for k in range(1, e) if math.gcd(k, e) == 1]
 
 
-# Every layer enumerates the group (connectivity, spectrum, involution split),
-# so a larger order would run unbounded instead of failing up front.
+# The spectrum and the involution split enumerate the group, so a larger
+# order would run unbounded instead of failing up front.
 MAX_GROUP_ORDER = 1 << 20
+
+
+def _prime_factors(m: int) -> list[int]:
+    """Distinct prime factors of m >= 1 in increasing order, by trial
+    division (factor orders are at most MAX_GROUP_ORDER)."""
+    out = []
+    f = 2
+    while f * f <= m:
+        if m % f == 0:
+            out.append(f)
+            while m % f == 0:
+                m //= f
+        f += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
+def _has_full_rank_mod(rows: Iterable[Sequence[int]], cols: Sequence[int], p: int) -> bool:
+    """True iff the given columns of rows, reduced mod the prime p, span
+    F_p^len(cols).  Gaussian elimination that stops at full rank."""
+    basis: dict[int, list[int]] = {}  # pivot position -> row, pivot 1, zero before it
+    width = len(cols)
+    for v in {tuple(g[i] % p for i in cols) for g in rows}:
+        v = list(v)
+        for j in range(width):
+            c = v[j]
+            if c == 0:
+                continue
+            pivot_row = basis.get(j)
+            if pivot_row is None:
+                inv = pow(c, -1, p)
+                basis[j] = [x * inv % p for x in v]
+                if len(basis) == width:
+                    return True
+                break
+            v = [(x - c * y) % p for x, y in zip(v, pivot_row)]
+    return len(basis) == width
 
 
 def make_group(orders: Sequence[int]) -> "FiniteAbelianGroup":
@@ -139,8 +177,28 @@ class FiniteAbelianGroup:
         """Units of Z_exponent (the scalars acting on the group)."""
         return units_mod(self.exponent)
 
+    @cached_property
+    def _frattini_columns(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        # each prime p | n with the factors i such that p | m_i
+        primes = sorted({p for m in self.orders for p in _prime_factors(m)})
+        return tuple(
+            (p, tuple(i for i, m in enumerate(self.orders) if m % p == 0)) for p in primes
+        )
+
+    def is_generated_by(self, gens: Iterable[Element]) -> bool:
+        """True iff gens generate the whole group, without enumerating it.
+
+        Frattini criterion: every proper subgroup lies in one of prime index
+        p, which contains pG, and G/pG is F_p^r_p with r_p the number of
+        factors whose order p divides.  So gens generate G exactly when, for
+        every prime p | n, their coordinates on those factors, mod p, have
+        rank r_p.  Cost O(|gens| * r^2) per prime."""
+        rows = [tuple(g) for g in gens]
+        return all(_has_full_rank_mod(rows, cols, p) for p, cols in self._frattini_columns)
+
     def subgroup_generated(self, gens: Iterable[Element]) -> set[Element]:
-        """Closure of gens together with 0 under addition."""
+        """Closure of gens together with 0 under addition: a breadth-first
+        walk over the subgroup, kept as the reference for is_generated_by."""
         gen_list = [tuple(g) for g in gens]
         found = {self.zero}
         frontier = [self.zero]

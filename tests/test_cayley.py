@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import time
 import warnings
 
 import numpy as np
@@ -322,6 +323,21 @@ class TestConnectivity:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             make_graph([2, 3], [(1, 0), (0, 1), (0, 2)])
+
+    def test_ten_thousand_vertices_without_enumeration(self):
+        # Z2 x Z4 x Z1250 with S = {(a, b, u) : u a unit mod 1250}, |S| = 4000
+        rows = [(a, b, u) for a in range(2) for b in range(4) for u in fr.units_mod(1250)]
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            graph = make_graph([2, 4, 1250], rows)
+        assert time.perf_counter() - start < 1.0
+        assert graph.degree == 4000 and graph.connected
+        # a = 0 and b even: these rows only reach {0} x 2Z4 x Z1250
+        sub = [r for r in rows if r[0] == 0 and r[1] % 2 == 0]
+        assert len(sub) == 1000
+        with pytest.warns(DisconnectedGraphWarning):
+            assert not make_graph([2, 4, 1250], sub).connected
 
 
 class TestJson:

@@ -9,6 +9,7 @@ import json
 import math
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -477,9 +478,13 @@ class TestWrongTypedFields:
         assert "Traceback" not in err
 
 
+HUGE_PRIME = 1000000000000000003
+
+
 class TestGroupOrderCeiling:
     """Groups above MAX_GROUP_ORDER are refused up front (exit 3) instead of
-    being enumerated."""
+    being enumerated, and family parameters before any primality test or
+    power runs on them."""
 
     @pytest.mark.parametrize(
         "argv, doc",
@@ -490,8 +495,11 @@ class TestGroupOrderCeiling:
             ),
             (["construct"], {"variant": "RAMANUJAN_A", "p": 10007, "r": 3}),
             (["construct"], {"variant": "MULTI_PRIME_B", "prime_powers": [[2, 2], [10007, 2]]}),
+            (["construct"], {"variant": "RAMANUJAN_A", "p": HUGE_PRIME, "r": 1}),
+            (["construct"], {"variant": "RAMANUJAN_A", "p": 3, "r": 100000000}),
+            (["construct"], {"variant": "MULTI_PRIME_B", "prime_powers": [[2, 2], [HUGE_PRIME, 1]]}),
         ],
-        ids=["graph", "family-A", "family-B"],
+        ids=["graph", "family-A", "family-B", "family-A-huge-p", "family-A-huge-r", "family-B-huge-p"],
     )
     def test_exit_three_within_a_second(self, capsys, tmp_path, argv, doc):
         path = write_json(tmp_path, "doc.json", doc)
@@ -501,6 +509,39 @@ class TestGroupOrderCeiling:
         assert code == 3
         assert out == ""
         assert "ceiling" in err
+
+
+def test_huge_plateau_prime_is_exit_four_within_a_second(capsys, tmp_path):
+    # d1 % p is tested before any trial division of p
+    doc = {"variant": "PLATEAUED_C", "H": [9], "S1": [[u] for u in UNITS_9], "p": HUGE_PRIME}
+    path = write_json(tmp_path, "family.json", doc)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["construct", path])
+    assert time.perf_counter() - start < 1.0
+    assert code == 4
+    assert out == ""
+
+
+class TestForgedValidK:
+    def test_modulus_at_the_bound_is_cheap(self, capsys, tmp_path):
+        graph = write_json(tmp_path, "g.json", graph_doc([2, 9], UNITS_SET))
+        cert = write_json(
+            tmp_path,
+            "cert.json",
+            {"a": [1, 0], "k": 1, "modulus": 8388608, "rho0": 0, "rho1": 1, "valid_k": [1]},
+        )
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code, out, err = run(capsys, ["verify", graph, cert])
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "valid_k" in err
+        assert elapsed < 0.5
+        assert peak < 16 * 2**20
 
 
 def _positions(node, prefix=()):

@@ -377,6 +377,30 @@ class TestInvariantChecks:
 
 
 class TestWitnessJson:
+    @settings(max_examples=300)
+    @given(st.integers(min_value=1, max_value=200), st.data())
+    def test_given_valid_k_checked_exactly(self, modulus, data):
+        delta = data.draw(st.integers(min_value=0, max_value=modulus - 1))
+        true = list(engine.valid_k(delta, modulus))
+        given_k = list(true)
+        edit = data.draw(st.sampled_from(["keep", "drop", "add", "duplicate", "reorder"]))
+        if edit == "drop" and given_k:
+            given_k.pop(data.draw(st.integers(0, len(given_k) - 1)))
+        elif edit == "add":
+            k = data.draw(st.integers(min_value=-1, max_value=modulus + 1))
+            given_k.insert(data.draw(st.integers(0, len(given_k))), k)
+        elif edit == "duplicate" and given_k:
+            i = data.draw(st.integers(0, len(given_k) - 1))
+            given_k.insert(i, given_k[i])
+        elif edit == "reorder" and len(given_k) > 1:
+            given_k = data.draw(st.permutations(given_k))
+        doc = {"a": [1], "k": 1, "modulus": modulus, "rho0": delta, "rho1": 0, "valid_k": given_k}
+        if given_k == true:
+            assert FRWitness.from_json(doc).valid_k == tuple(true)
+        else:
+            with pytest.raises(SpecFormatError, match="valid_k"):
+                FRWitness.from_json(doc)
+
     def test_roundtrip(self, corpus):
         for name, graph in corpus:
             for a, w in search_all(graph):

@@ -244,6 +244,47 @@ class TestSubgroupGenerated:
         assert g.n % len(sub) == 0
 
 
+class TestIsGeneratedBy:
+    """The Frattini rank test against the breadth-first closure."""
+
+    def test_small_cases(self):
+        g = make_group([2, 9])
+        assert g.is_generated_by([(1, 0), (0, 1)])
+        assert g.is_generated_by([(1, 1)])
+        assert not g.is_generated_by([(0, 1)])
+        assert not g.is_generated_by([(1, 3), (0, 3)])
+        assert not g.is_generated_by([])
+
+    def test_repeated_prime_needs_full_rank(self):
+        # (1, 1) alone has order 4 in Z4 x Z4; adding (0, 2) gives rank 1
+        # mod 2 only, (0, 1) gives rank 2.
+        g = make_group([4, 4])
+        assert not g.is_generated_by([(1, 1), (0, 2), (2, 2)])
+        assert g.is_generated_by([(1, 1), (0, 1)])
+
+    @settings(max_examples=300)
+    @given(
+        st.one_of(
+            st.sampled_from([[4, 8], [9, 3, 6], [2, 2, 2, 2], [6, 10, 15], [8, 4, 2]]),
+            st.lists(st.integers(min_value=2, max_value=12), min_size=1, max_size=4).filter(
+                lambda o: math.prod(o) <= 1000
+            ),
+        ),
+        st.data(),
+    )
+    def test_agrees_with_closure(self, orders, data):
+        g = make_group(orders)
+        element = st.tuples(*(st.integers(min_value=0, max_value=m - 1) for m in orders))
+        gens = data.draw(st.lists(element, max_size=6))
+        # redundant generators: sums, multiples and repeats of earlier ones
+        for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+            if gens:
+                x = data.draw(st.sampled_from(gens))
+                y = data.draw(st.sampled_from(gens))
+                gens.append(g.add(x, g.scale(data.draw(st.integers(0, 5)), y)))
+        assert g.is_generated_by(gens) == (len(g.subgroup_generated(gens)) == g.n)
+
+
 class TestAddNegScale:
     @given(group_orders, st.data())
     def test_group_laws(self, orders, data):
