@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .cyclotomic import RootOfUnitySum
+from .cyclotomic import RootOfUnitySum, ramanujan_row
 from .errors import NotClassFunctionError, SpecFormatError
 from .groups import Element, FiniteAbelianGroup, make_group
 
@@ -39,6 +39,33 @@ def hadamard_transform(values: Sequence[int] | np.ndarray) -> np.ndarray:
             out[start : start + h] = a + b
             out[start + h : start + 2 * h] = a - b
         h *= 2
+    return out
+
+
+def ramanujan_transform(
+    group: FiniteAbelianGroup,
+    orbits: Iterable[tuple[Element, int, int]],
+    dtype: type = np.int64,
+) -> np.ndarray:
+    """Integer Fourier transform, in rank order, of a class function given
+    as one (s, d, w) per unit orbit: s in the orbit, d = ord(s), w the value
+    on it.  The orbit adds w * c_d(j) at z, where the character pairing of z
+    and s is j * (e / d) mod e and c_d is the Ramanujan sum, which is real,
+    so the sign of the pairing does not matter.
+
+    The pairings are exact in int64: they stay below len(orders) * e, and
+    row * c below the square of a factor order.  The sums are exact in
+    `dtype` when it holds the sum over orbits of |w| * |orbit|."""
+    G = group
+    e = G.exponent
+    coords = np.indices(G.orders, dtype=np.int64).reshape(len(G.orders), G.n)
+    out = np.zeros(G.n, dtype=dtype)
+    for s, d, w in orbits:
+        pairing = np.zeros(G.n, dtype=np.int64)
+        for row, c, m in zip(coords, s, G.orders):
+            if c:
+                pairing += (e // m) * (row * c % m)
+        out += (w * np.asarray(ramanujan_row(d), dtype=dtype))[pairing // (e // d) % d]
     return out
 
 
@@ -216,6 +243,29 @@ class GroupFunction:
     def __call__(self, g: Element) -> int:
         return self.values[self.group.rank(g)]
 
+    @cached_property
+    def unit_orbits(self) -> Optional[tuple[tuple[Element, int, int], ...]]:
+        """One (x, ord(x), f(x)) per unit orbit {k x : k a unit mod ord(x)}
+        on which f is nonzero, x the orbit's first element in rank order;
+        None as soon as f takes two values on one orbit.  One walk over the
+        group, each element visited once."""
+        G = self.group
+        values = self.values
+        seen = bytearray(G.n)
+        out = []
+        for i, x in enumerate(G.elements()):
+            if seen[i]:
+                continue
+            v = values[i]
+            for _, y in G.unit_multiples(x):
+                j = G.rank(y)
+                if values[j] != v:
+                    return None
+                seen[j] = 1
+            if v:
+                out.append((x, G.element_order(x), v))
+        return tuple(out)
+
 
 def group_fourier(f: GroupFunction) -> list[RootOfUnitySum]:
     """Exact Fourier coefficients fhat(chi_z) = sum_x f(x) * conj(chi_z(x)),
@@ -234,24 +284,29 @@ def group_fourier(f: GroupFunction) -> list[RootOfUnitySum]:
 
 
 def fourier_integers(f: GroupFunction) -> Optional[list[int]]:
-    """Integer Fourier spectrum, or None if any coefficient is irrational."""
-    out = []
-    for coeff in group_fourier(f):
-        value = coeff.as_integer()
-        if value is None:
-            return None
-        out.append(value)
-    return out
+    """Integer Fourier spectrum in element order, or None if any
+    coefficient is irrational.
+
+    The unit u of Z_exponent acts on the coefficients as a Galois
+    automorphism, taking the transform of f to that of x -> f(u^-1 x).  So
+    every coefficient is rational exactly when f is a class function, and a
+    class function gets exact integers without cyclotomic arithmetic: the
+    Walsh transform when the exponent is 2, else one Ramanujan row per unit
+    orbit.  `group_fourier` is the cyclotomic reference."""
+    orbits = f.unit_orbits
+    if orbits is None:
+        return None
+    # every partial sum of either transform is bounded by the sum of |f|
+    fits = sum(abs(v) for v in f.values) < 1 << 62
+    if f.group.exponent == 2 and fits:
+        return hadamard_transform(f.values).tolist()
+    return ramanujan_transform(f.group, orbits, np.int64 if fits else object).tolist()
 
 
 def is_class_function(f: GroupFunction) -> bool:
-    """True iff f(l*x) = f(x) for every unit l of Z_exponent."""
-    G = f.group
-    for unit in G.units():
-        for x in G.elements():
-            if f.values[G.rank(x)] != f.values[G.rank(G.scale(unit, x))]:
-                return False
-    return True
+    """True iff f(l*x) = f(x) for every unit l of Z_exponent, i.e. f is
+    constant on every unit orbit."""
+    return f.unit_orbits is not None
 
 
 def plateaued_level(f: GroupFunction, p: int) -> Optional[tuple[int, int]]:

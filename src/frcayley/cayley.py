@@ -4,17 +4,16 @@ integrality, adjacency matrices, and JSON (de)serialization."""
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Literal, Optional, Sequence
 
 import numpy as np
 
-from .boolfn import hadamard_transform
-from .cyclotomic import RootOfUnitySum, ramanujan_row
+from .boolfn import hadamard_transform, ramanujan_transform
+from .cyclotomic import RootOfUnitySum
 from .errors import (
     AsymmetricSetError,
     DisconnectedGraphWarning,
@@ -98,14 +97,11 @@ class CayleyGraph:
         for s in self.connection:
             if s in seen:
                 continue
-            d = G.element_order(s)
-            for k in range(1, d):
-                if math.gcd(k, d) == 1:
-                    t = G.scale(k, s)
-                    if t not in members:
-                        return None
-                    seen.add(t)
-            reps.append((s, d))
+            for _, t in G.unit_multiples(s):
+                if t not in members:
+                    return None
+                seen.add(t)
+            reps.append((s, G.element_order(s)))
         return tuple(reps)
 
 
@@ -150,12 +146,15 @@ class Spectrum:
 
     `values[z]` is the exact cyclotomic sum over the connection set;
     `integral_values` is the same data as plain integers when every
-    eigenvalue is rational (hence an integer), otherwise None."""
+    eigenvalue is rational (hence an integer), otherwise None.  `by_rank`
+    holds those integers as an int64 array in rank order, as the spectrum
+    methods compute them; the engine reads that array."""
 
     group: FiniteAbelianGroup
     degree: int
     values: Mapping[Element, RootOfUnitySum]
     integral_values: Optional[dict[Element, int]]
+    by_rank: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     @property
     def is_integral(self) -> bool:
@@ -194,50 +193,35 @@ def spectrum(graph: CayleyGraph, method: SpectrumMethod = "auto") -> Spectrum:
     if method == "ramanujan":
         if graph.unit_orbits is None:
             raise ValueError("the Ramanujan method requires a unit-closed connection set")
-        return _integer_spectrum(graph, _ramanujan_eigenvalues(graph))
+        orbits = [(s, d, 1) for s, d in graph.unit_orbits]
+        return _integer_spectrum(graph, ramanujan_transform(G, orbits))
 
     e = G.exponent
     values = {}
-    ints = {}
-    integral = True
+    ranked: Optional[list[int]] = []
     for z in G.elements():
         counts = [0] * e
         for s in graph.connection:
             counts[G.character_exponent(z, s)] += 1
         coeff = RootOfUnitySum(e, tuple(counts))
         values[z] = coeff
-        if integral:
+        if ranked is not None:
             as_int = coeff.as_integer()
             if as_int is None:
-                integral = False
+                ranked = None
             else:
-                ints[z] = as_int
-    return Spectrum(G, graph.degree, values, ints if integral else None)
-
-
-def _ramanujan_eigenvalues(graph: CayleyGraph) -> np.ndarray:
-    """Eigenvalues in rank order of a graph whose set is a union of unit
-    orbits.  The orbit of s, d = ord(s), adds c_d(j) at z, where the
-    character pairing of z and s is j * (e / d) mod e."""
-    G = graph.group
-    e = G.exponent
-    # int64 is exact here: pairings stay below len(orders) * e, eigenvalues
-    # below |S|, and row * c below the square of a factor order.
-    coords = np.indices(G.orders, dtype=np.int64).reshape(len(G.orders), G.n)
-    lam = np.zeros(G.n, dtype=np.int64)
-    for s, d in graph.unit_orbits:
-        pairing = np.zeros(G.n, dtype=np.int64)
-        for row, c, m in zip(coords, s, G.orders):
-            if c:
-                pairing += (e // m) * (row * c % m)
-        lam += np.asarray(ramanujan_row(d), dtype=np.int64)[pairing // (e // d) % d]
-    return lam
+                ranked.append(as_int)
+    if ranked is None:
+        return Spectrum(G, graph.degree, values, None)
+    lam = np.array(ranked, dtype=np.int64)
+    return Spectrum(G, graph.degree, values, dict(zip(G.elements(), ranked)), lam)
 
 
 def _integer_spectrum(graph: CayleyGraph, lam: np.ndarray) -> Spectrum:
     G = graph.group
     ints = dict(zip(G.elements(), lam.tolist()))
-    return Spectrum(G, graph.degree, IntegerSpectrumView(G.exponent, ints), ints)
+    view = IntegerSpectrumView(G.exponent, ints)
+    return Spectrum(G, graph.degree, view, ints, lam)
 
 
 def is_integral(graph: CayleyGraph) -> bool:

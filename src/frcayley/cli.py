@@ -16,6 +16,7 @@ Exit codes: 0 positive result, 1 negative result, 2 malformed input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -181,7 +182,10 @@ def _cmd_plateaued(args: argparse.Namespace) -> int:
     return EXIT_OK if level is not None else EXIT_NEGATIVE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `fr` parser, built once per process; each parse_args call
+    starts from a fresh namespace, so no option carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="fr",
         description="Decide, certify, and verify fractional revival on "

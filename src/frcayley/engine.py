@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .cayley import CayleyGraph, Spectrum, spectrum
 from .errors import (
@@ -101,6 +103,77 @@ def compute_moduli(
     if m != 0 and spec.group.n % m != 0:
         raise ArithmeticError(f"modulus {m} does not divide the group order {spec.group.n}")
     return Moduli(m0, m1, m, reference, d - lam_ref)
+
+
+def involution_moduli(spec: Spectrum, involutions: Sequence[Element]) -> list[Moduli]:
+    """The moduli of compute_moduli(spec, split_by_involution(G, a)) for
+    each involution a, from one fold of the spectrum onto G/2G.
+
+    With a_i = m_i / 2 on supp(a), chi_a(g) = (-1)^(sum of g_i over
+    supp(a)), so the half that g lies in depends only on the parity class
+    x of g over the t even factors.  Each class keeps G0[x] = gcd(d -
+    lambda_g), its first eigenvalue L[x] in rank order and F[x] =
+    gcd(lambda_g - L[x]).  Then m0 is the gcd of G0 over the even classes
+    of a, and m1 that of F and of L[x] - L[x'] over its odd classes.  The
+    reference is the unit vector at the last coordinate of supp(a), the
+    lexicographically smallest element of the minus half, as in
+    compute_moduli.  Cost O(n) numpy for the fold, O(2^t) per involution."""
+    if spec.integral_values is None:
+        raise NonIntegralSpectrumError(
+            "the spectrum is not integral; no rational-phase times exist"
+        )
+    G = spec.group
+    d = spec.degree
+    lam = spec.by_rank
+    if lam is None:  # a Spectrum built by hand carries only the tuple dict
+        lam = np.fromiter((spec.integral_values[g] for g in G.elements()), np.int64, G.n)
+    # Split each even factor Z_m into (m / 2) x (parity), then move the t
+    # parity axes to the front: row x of `blocks` is parity class x, with
+    # the first even factor as its most significant bit, listed in rank
+    # order.  At most three n-length temporaries; no coordinate array.
+    shape: list[int] = []
+    parity_axes: list[int] = []
+    for m in G.orders:
+        if m % 2 == 0:
+            shape.append(m // 2)
+            parity_axes.append(len(shape))
+            shape.append(2)
+        else:
+            shape.append(m)
+    t = len(parity_axes)
+    rest = [i for i in range(len(shape)) if i not in parity_axes]
+    blocks = lam.reshape(shape).transpose(parity_axes + rest).reshape(1 << t, -1)
+    first = blocks[:, 0]
+    plus_gcd = np.gcd.reduce(d - blocks, axis=1)
+    spread = np.gcd.reduce(blocks - first[:, None], axis=1)
+    # parity[x] = popcount(x) mod 2
+    parity = np.zeros(1 << t, dtype=bool)
+    for i in range(t):
+        parity[1 << i : 2 << i] = ~parity[: 1 << i]
+    classes = np.arange(1 << t)
+    even_orders = [(i, m) for i, m in enumerate(G.orders) if m % 2 == 0]
+
+    out = []
+    for a in involutions:
+        a = G.require_element(a)
+        if G.element_order(a) != 2:
+            raise NotInvolutionError(f"element {a} does not have order 2")
+        mask = 0
+        last = 0
+        for bit, (i, m) in enumerate(even_orders):
+            if a[i] == m // 2:
+                mask |= 1 << (t - 1 - bit)
+                last = i
+        odd = parity[classes & mask]
+        reference = tuple(int(i == last) for i in range(len(G.orders)))
+        lam_ref = int(lam[G.rank(reference)])
+        m0 = int(np.gcd.reduce(plus_gcd[~odd]))
+        m1 = math.gcd(int(np.gcd.reduce(spread[odd])), int(np.gcd.reduce(first[odd] - lam_ref)))
+        m = math.gcd(m0, m1)
+        if m != 0 and G.n % m != 0:
+            raise ArithmeticError(f"modulus {m} does not divide the group order {G.n}")
+        out.append(Moduli(m0, m1, m, reference, d - lam_ref))
+    return out
 
 
 def valid_k(delta: int, modulus: int) -> tuple[int, ...]:
@@ -271,10 +344,14 @@ def decide_fr(
     a = G.require_element(a)
     if G.n % 2 == 1 or G.element_order(a) != 2 or graph.unit_orbits is None:
         return None
-    split = split_by_involution(G, a)
     if spec is None:
         spec = spectrum(graph)
-    mod = compute_moduli(spec, split)
+    (mod,) = involution_moduli(spec, [a])
+    return _witness(a, spec.degree, mod)
+
+
+def _witness(a: Element, degree: int, mod: Moduli) -> Optional[FRWitness]:
+    """The canonical witness of decide_fr from the moduli of a."""
     if mod.m > 0:
         big_n = mod.m
     elif mod.delta == 0:
@@ -287,14 +364,15 @@ def decide_fr(
     if valid and valid[0] != 1:
         raise ArithmeticError(f"k = {valid[0]} is valid but k = 1 is not")
     k = 1
-    lam_ref = spec.integral_values[mod.reference]
-    rho0 = (k * spec.degree) % big_n
+    lam_ref = degree - mod.delta
+    rho0 = (k * degree) % big_n
     rho1 = (k * lam_ref) % big_n
     return FRWitness(a, k, big_n, rho0, rho1, valid)
 
 
 def search_all(graph: CayleyGraph) -> list[tuple[Element, FRWitness]]:
-    """Classify every involution of the group; one shared spectrum pass.
+    """Classify every involution of the group, as decide_fr does each one,
+    from one spectrum and one fold of it (involution_moduli).
 
     Empty for odd group order (no involutions) and for non-integral spectra;
     both are decided before any spectrum work.
@@ -304,8 +382,8 @@ def search_all(graph: CayleyGraph) -> list[tuple[Element, FRWitness]]:
         return []
     spec = spectrum(graph)
     out: list[tuple[Element, FRWitness]] = []
-    for a in involutions:
-        w = decide_fr(graph, a, spec)
+    for a, mod in zip(involutions, involution_moduli(spec, involutions)):
+        w = _witness(a, spec.degree, mod)
         if w is not None:
             out.append((a, w))
     return out

@@ -211,13 +211,21 @@ def build_plateaued_family(
         cleaned.add(g)
     if not cleaned:
         raise HypothesisViolationError("S1 must be nonempty")
-    for unit in H.units():
-        for s in cleaned:
-            if H.scale(unit, s) not in cleaned:
+    # one walk per unit orbit, each member of S1 visited once
+    seen: set[Element] = set()
+    for s in sorted(cleaned):
+        if s in seen:
+            continue
+        for k, t in H.unit_multiples(s):
+            if t not in cleaned:
+                # a unit of Z_exponent that acts on s as k does
+                d, e = H.element_order(s), H.exponent
+                unit = next(u for u in range(k, e, d) if math.gcd(u, e) == 1)
                 raise HypothesisViolationError(
                     f"S1 is not closed under multiplication by the unit {unit}: "
-                    f"{s} is inside but {H.scale(unit, s)} is not"
+                    f"{s} is inside but {t} is not"
                 )
+            seen.add(t)
     d1 = len(cleaned)
     indicator = GroupFunction.indicator(H, cleaned)
     candidates = (

@@ -26,8 +26,9 @@ def units_mod(e: int) -> list[int]:
     return [k for k in range(1, e) if math.gcd(k, e) == 1]
 
 
-# The spectrum and the involution split enumerate the group, so a larger
-# order would run unbounded instead of failing up front.
+# A spectrum, and the fold of it onto G/2G that decides the involutions,
+# hold one value per group element, so a larger order is refused up front
+# instead of running unbounded.
 MAX_GROUP_ORDER = 1 << 20
 
 
@@ -167,6 +168,14 @@ class FiniteAbelianGroup:
 
     def element_order(self, g: Element) -> int:
         return math.lcm(*(m // math.gcd(m, c) for c, m in zip(g, self.orders)))
+
+    def unit_multiples(self, g: Element) -> Iterator[tuple[int, Element]]:
+        """(k, k g) for every unit k of Z_d, d = ord(g), increasing in k:
+        the unit orbit of g, starting at g itself."""
+        d = self.element_order(g)
+        for k in range(1, max(d, 2)):
+            if math.gcd(k, d) == 1:
+                yield k, self.scale(k, g)
 
     def involutions(self) -> list[Element]:
         """Nonzero g with g + g = 0, lexicographic; empty iff the order is odd."""

@@ -325,6 +325,55 @@ class TestIsClassFunction:
         assert is_class_function(GroupFunction(g, (1,) * 6))
 
 
+def small_groups():
+    """Groups of order at most 128, among them (Z2)^k, where the transform
+    is the Walsh transform."""
+    orders = st.lists(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9, 12, 16]), min_size=1, max_size=4)
+    cubes = st.integers(1, 7).map(lambda k: [2] * k)
+    return st.one_of(orders.filter(lambda o: math.prod(o) <= 128), cubes).map(make_group)
+
+
+def class_function(group, rng: random.Random, big: bool) -> GroupFunction:
+    """Random values, one per unit orbit; |values| past 2^62 when big."""
+    top = 2**70 if big else 3
+    values = [None] * group.n
+    for i, x in enumerate(group.elements()):
+        if values[i] is None:
+            v = rng.randrange(-top, top + 1)
+            for _, y in group.unit_multiples(x):
+                values[group.rank(y)] = v
+    return GroupFunction(group, tuple(values))
+
+
+class TestClassFunctionTransform:
+    """The orbit walk and the integer transform against the definitions:
+    every unit times every element, and the cyclotomic group_fourier."""
+
+    @given(small_groups(), st.integers(0, 2**31), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_group_fourier(self, group, seed, big):
+        f = class_function(group, random.Random(seed), big)
+        assert is_class_function(f)
+        assert fourier_integers(f) == [c.as_integer() for c in group_fourier(f)]
+
+    @given(small_groups(), st.integers(0, 2**31))
+    @settings(max_examples=60, deadline=None)
+    def test_orbit_walk_agrees_with_every_unit(self, group, seed):
+        rng = random.Random(seed)
+        f = class_function(group, rng, False)
+        if rng.random() < 0.7:
+            values = list(f.values)
+            values[rng.randrange(group.n)] += 1
+            f = GroupFunction(group, tuple(values))
+        brute = all(
+            f(x) == f(group.scale(u, x)) for u in group.units() for x in group.elements()
+        )
+        assert is_class_function(f) == brute
+        if not brute:
+            assert fourier_integers(f) is None
+            assert any(c.as_integer() is None for c in group_fourier(f))
+
+
 class TestPlateauedLevel:
     def test_two_by_three_example(self):
         g = make_group([3, 3])

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import frcayley as fr
 from frcayley import decide_fr, graph_to_json, make_graph
-from frcayley.cli import main
+from frcayley.cli import build_parser, main
 from conftest import BENT4_SUPPORT, PRISM_SET, UNITS_9, UNITS_SET
 
 
@@ -386,6 +386,76 @@ class TestPlateauedCommand:
         path = write_json(tmp_path, "fn.json", self._units_doc())
         code, _, _ = run(capsys, ["plateaued", path, "--p", "1"])
         assert code == 3
+
+
+class TestLargePlateauedGroup:
+    """Builder C and `plateaued` on large groups.  On H = Z_4096 with S1 the
+    2048 units, the closure and class-function checks walk unit orbits, and
+    the transform is one Ramanujan row per orbit (c_4096 takes 2048, 0 and
+    -2048)."""
+
+    UNITS = [[u] for u in range(1, 4096, 2)]
+
+    def test_builder_c_within_two_seconds(self, capsys, tmp_path):
+        doc = {"variant": "PLATEAUED_C", "H": [4096], "S1": self.UNITS}
+        path = write_json(tmp_path, "family.json", doc)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["construct", path])
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["prediction"]["modulus"] == 2 * 2**11
+        assert doc["prediction"]["label"] == "plateaued H=[4096] |S1|=2048 p=2 r0=11"
+
+    def test_plateaued_within_two_seconds(self, capsys, tmp_path):
+        values = [u % 2 for u in range(4096)]
+        path = write_json(tmp_path, "fn.json", {"group": [4096], "values": values})
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["plateaued", path, "--p", "2"])
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert json.loads(out)["level"] == {"k": 0, "r": 11}
+
+    def test_plateaued_on_a_cube_within_two_seconds(self, capsys, tmp_path):
+        # On (Z2)^14 every element is its own unit orbit; the transform of
+        # x -> popcount(x) mod 2 is 8192 at 0, -8192 at the all-ones vector.
+        values = [bin(x).count("1") % 2 for x in range(1 << 14)]
+        path = write_json(tmp_path, "fn.json", {"group": [2] * 14, "values": values})
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["plateaued", path, "--p", "2"])
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert json.loads(out)["level"] == {"k": 0, "r": 13}
+
+
+class TestParserReuse:
+    """The parser is built once per process; no option of one call leaks
+    into the next."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_options_do_not_carry_over(self, capsys, tmp_path, units_spec):
+        family = write_json(tmp_path, "famE.json", {"variant": "BENT_E", "f": "7888"})
+        target = tmp_path / "built.json"
+        code, out, _ = run(
+            capsys, ["construct", family, "--verify", "--tol", "1e-6", "-o", str(target)]
+        )
+        assert (code, out) == (0, "")
+        built = json.loads(target.read_text())
+        assert built["verification"]["tolerance"] == 1e-6
+
+        code, out, _ = run(capsys, ["search", units_spec])
+        assert code == 0 and json.loads(out)["fr_found"] is True
+        code, out, _ = run(capsys, ["construct", family])
+        assert code == 0 and "verification" not in json.loads(out)
+
+        graph = write_json(tmp_path, "g.json", built["graph"])
+        cert = write_json(tmp_path, "c.json", built["prediction"])
+        code, out, _ = run(capsys, ["verify", graph, cert, "--tol", "0.5"])
+        assert code == 0 and json.loads(out)["tolerance"] == 0.5
+        code, out, _ = run(capsys, ["verify", graph, cert])
+        assert code == 0 and json.loads(out)["tolerance"] == 1e-9
 
 
 class TestDeterminism:

@@ -26,6 +26,7 @@ from frcayley import (
     compute_moduli,
     decide_fr,
     fr_grid_scan,
+    involution_moduli,
     make_group,
     search_all,
     spectrum,
@@ -311,11 +312,88 @@ class TestIntegralityFirst:
         assert search_all(graph) == []
 
 
+class TestInvolutionModuli:
+    """The fold onto G/2G gives, for every involution, the moduli of the
+    per-involution reference compute_moduli(spec, split_by_involution)."""
+
+    @staticmethod
+    def reference(spec, involutions):
+        return [compute_moduli(spec, split_by_involution(spec.group, a)) for a in involutions]
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_split_on_random_groups(self, data):
+        evens = data.draw(st.lists(st.sampled_from([2, 4, 6, 8, 12]), min_size=1, max_size=6))
+        odds = data.draw(st.lists(st.sampled_from([3, 5, 9]), max_size=2))
+        orders = []  # at most t = 6 even factors, n <= 256
+        for m in data.draw(st.permutations(evens + odds)):
+            if math.prod(orders) * m <= 256:
+                orders.append(m)
+        if all(m % 2 for m in orders):
+            orders.append(2)
+        group = make_group(orders)
+        seed = data.draw(st.integers(min_value=0, max_value=2**31))
+        graph = graph_from_set(group, random_unit_closed_set(group, random.Random(seed)))
+        invs = group.involutions()
+        methods = ["generic", "ramanujan"] + (["walsh"] if group.exponent == 2 else [])
+        for method in methods:
+            spec = spectrum(graph, method)
+            assert involution_moduli(spec, invs) == self.reference(spec, invs), (orders, method)
+
+    def test_agrees_with_split_on_corpus(self, corpus):
+        for name, graph in corpus:
+            invs = graph.group.involutions()
+            if not invs or graph.unit_orbits is None:
+                continue
+            spec = spectrum(graph)
+            assert involution_moduli(spec, invs) == self.reference(spec, invs), name
+
+    def test_decisions_use_neither_split_nor_pairing(self, corpus, monkeypatch):
+        expected = [
+            (search_all(g), [decide_fr(g, a) for a in g.group.involutions()]) for _, g in corpus
+        ]
+
+        def fail(*args, **kwargs):
+            raise AssertionError("per-involution split or pairing computed")
+
+        monkeypatch.setattr(engine, "split_by_involution", fail)
+        monkeypatch.setattr(FiniteAbelianGroup, "character_exponent", fail)
+        for (name, graph), (found, decided) in zip(corpus, expected):
+            fresh = graph_from_set(graph.group, graph.connection.elements)
+            assert search_all(fresh) == found, name
+            assert [decide_fr(fresh, a) for a in fresh.group.involutions()] == decided, name
+
+    def test_hand_built_spectrum(self, units_graph):
+        # A Spectrum made without the rank-ordered array reads the tuple dict.
+        spec = spectrum(units_graph)
+        bare = Spectrum(spec.group, spec.degree, spec.values, spec.integral_values)
+        assert bare.by_rank is None
+        assert involution_moduli(bare, [(1, 0)]) == involution_moduli(spec, [(1, 0)])
+        assert decide_fr(units_graph, (1, 0), bare) == decide_fr(units_graph, (1, 0))
+
+    def test_rejects_non_involution_and_non_integral(self, units_graph, cycle5):
+        spec = spectrum(units_graph)
+        with pytest.raises(NotInvolutionError):
+            involution_moduli(spec, [(0, 3)])
+        with pytest.raises(NotInvolutionError):
+            involution_moduli(spec, [(0, 0)])
+        with pytest.raises(fr.NonIntegralSpectrumError):
+            involution_moduli(spectrum(cycle5), [])
+
+    def test_spectrum_array_is_in_rank_order(self, units_graph, hypercube_q3):
+        cases = [(units_graph, "ramanujan"), (units_graph, "generic"), (hypercube_q3, "walsh")]
+        for graph, method in cases:
+            spec = spectrum(graph, method)
+            ranked = [spec.integral_values[z] for z in graph.group.elements()]
+            assert spec.by_rank.tolist() == ranked, method
+
+
 # Each invariant with a fragment of the message its check raises.
 INVARIANTS = {
     "sign": "not a sign",
     "half": "in half",
     "modulus": "does not divide",
+    "fold_modulus": "does not divide",
     "k1": "k = 1 is not",
 }
 
@@ -334,10 +412,13 @@ def violate(case: str) -> None:
         group = make_group([4])
         if case in ("sign", "half"):
             split_by_involution(group, (2,))
-        elif case == "modulus":
+        elif case in ("modulus", "fold_modulus"):
             # m0 = gcd(5 - 5, 5 - 2) = 3 does not divide n = 4.
             spec = Spectrum(group, 5, {}, {(0,): 5, (1,): 0, (2,): 2, (3,): 0})
-            compute_moduli(spec, split_by_involution(group, (2,)))
+            if case == "modulus":
+                compute_moduli(spec, split_by_involution(group, (2,)))
+            else:
+                involution_moduli(spec, [(2,)])
         else:
             decide_fr(quiet_graph([2, 3], [(0, 1), (0, 2), (1, 0)]), (1, 0))
 

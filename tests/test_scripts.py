@@ -1,4 +1,4 @@
-"""Smoke test of the scale probe script."""
+"""Smoke tests of the scale probe script."""
 
 from __future__ import annotations
 
@@ -6,16 +6,36 @@ import importlib.util
 import time
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "probe_scale.py"
 
 
-def test_connectivity_probe_runs_within_a_second():
+@pytest.fixture(scope="module")
+def probe():
     spec = importlib.util.spec_from_file_location("probe_scale", SCRIPT)
-    probe = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(probe)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_connectivity_probe_runs_within_a_second(probe):
     start = time.perf_counter()
     report = probe.probe_connectivity()
     assert time.perf_counter() - start < 1.0
     assert report["n"] == 10**4 and report["degree"] == 4000
     assert report["connected"] is True
     assert 0 <= report["make_graph_cpu_s"] < 1.0
+
+
+def test_search_probe_folds_every_involution_at_once(probe):
+    # One fold of the spectrum onto G/2G decides all seven involutions.
+    report = probe.probe_search()
+    assert report["n"] == 10**5 and report["involutions"] == report["certificates"] == 7
+    assert 0 <= report["search_all_cpu_s"] < 0.6
+
+
+def test_decide_probe(probe):
+    report = probe.probe_decide()
+    assert report["n"] == 10**5 and report["kind"] == "PERIODIC"
+    assert 0 <= report["decide_fr_cpu_s"] < 0.6
