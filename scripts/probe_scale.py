@@ -9,7 +9,10 @@ Three probes, each one run in this process, timed in CPU seconds:
   with the unit-closed set {(a, b, u) : u a unit mod 12500} (|S| = 40000),
   timed apart from building the graph;
 - decide: decide_fr for the one involution (1, 0, 0) on a fresh copy of
-  that graph, timed the same way.
+  that graph, timed the same way;
+- spectrum: `fr spectrum` on the non-integral Z2 x Z20000 graph with
+  S = {(0, 1), (0, -1), (1, 0)} (n = 40000), run in process twice: once
+  timed, once under tracemalloc for its peak.
 
 Usage:
     python3 scripts/probe_scale.py
@@ -19,11 +22,15 @@ from __future__ import annotations
 
 import json
 import sys
+import tempfile
 import time
+import tracemalloc
+from pathlib import Path
 
-sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parents[1] / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import frcayley as fr
+from frcayley.cli import main as fr_main
 
 
 def unit_closed_rows(m: int) -> list[tuple[int, int, int]]:
@@ -72,11 +79,38 @@ def probe_decide() -> dict:
     }
 
 
+def probe_spectrum() -> dict:
+    doc = {"group": [2, 20000], "set": [[0, 1], [0, 19999], [1, 0]]}
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "graph.json"
+        out = Path(tmp) / "spectrum.json"
+        spec.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["spectrum", str(spec), "-o", str(out)]
+        start = time.process_time()
+        code = fr_main(argv)
+        cpu = time.process_time() - start
+        tracemalloc.start()
+        try:
+            traced_code = fr_main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = json.loads(out.read_text(encoding="utf-8"))
+    return {
+        "n": len(result["eigenvalues"]),
+        "integral": result["integral"],
+        "exit_codes": [code, traced_code],
+        "spectrum_cpu_s": cpu,
+        "tracemalloc_peak_mib": peak / 2**20,
+    }
+
+
 def main() -> int:
     report = {
         "connectivity": probe_connectivity(),
         "search": probe_search(),
         "decide": probe_decide(),
+        "spectrum": probe_spectrum(),
     }
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0

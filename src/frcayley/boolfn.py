@@ -33,11 +33,11 @@ def hadamard_transform(values: Sequence[int] | np.ndarray) -> np.ndarray:
         raise ValueError(f"length must be a power of two, got {m}")
     h = 1
     while h < m:
-        for start in range(0, m, 2 * h):
-            a = out[start : start + h].copy()
-            b = out[start + h : start + 2 * h].copy()
-            out[start : start + h] = a + b
-            out[start + h : start + 2 * h] = a - b
+        # every block of 2h at once: rows (a, b) become (a + b, a - b)
+        blocks = out.reshape(-1, 2, h)
+        a = blocks[:, 0].copy()
+        blocks[:, 0] += blocks[:, 1]
+        blocks[:, 1] = a - blocks[:, 1]
         h *= 2
     return out
 
@@ -58,14 +58,17 @@ def ramanujan_transform(
     `dtype` when it holds the sum over orbits of |w| * |orbit|."""
     G = group
     e = G.exponent
-    coords = np.indices(G.orders, dtype=np.int64).reshape(len(G.orders), G.n)
     out = np.zeros(G.n, dtype=dtype)
     for s, d, w in orbits:
-        pairing = np.zeros(G.n, dtype=np.int64)
-        for row, c, m in zip(coords, s, G.orders):
+        # each factor's term broadcast along its own axis: no coordinate array
+        pairing = np.zeros(G.orders, dtype=np.int64)
+        for i, (c, m) in enumerate(zip(s, G.orders)):
             if c:
-                pairing += (e // m) * (row * c % m)
-        out += (w * np.asarray(ramanujan_row(d), dtype=dtype))[pairing // (e // d) % d]
+                row = (e // m) * (np.arange(m, dtype=np.int64) * c % m)
+                pairing += row.reshape((m,) + (1,) * (len(G.orders) - 1 - i))
+        pairing //= e // d
+        pairing %= d
+        out += (w * np.asarray(ramanujan_row(d), dtype=dtype))[pairing.reshape(-1)]
     return out
 
 

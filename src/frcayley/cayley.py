@@ -5,15 +5,16 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Literal, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .boolfn import hadamard_transform, ramanujan_transform
-from .cyclotomic import RootOfUnitySum
+from .cyclotomic import RootOfUnitySum, approx_terms
 from .errors import (
     AsymmetricSetError,
     DisconnectedGraphWarning,
@@ -122,117 +123,109 @@ def make_graph(
     return graph
 
 
-class IntegerSpectrumView(Mapping):
-    """Read-only tuple-keyed view of integer eigenvalues as RootOfUnitySum
-    values of a given modulus, each built only when its key is read."""
+class ElementMap(Mapping):
+    """Read-only map from the elements of a group, in elements() order, to
+    read(z), computed when z is read; a non-element key raises KeyError."""
 
-    def __init__(self, modulus: int, ints: dict[Element, int]):
-        self._modulus = modulus
-        self._ints = ints
+    def __init__(self, group: FiniteAbelianGroup, read: Callable[[Element], object]):
+        self._group = group
+        self._read = read
 
-    def __getitem__(self, z: Element) -> RootOfUnitySum:
-        return RootOfUnitySum.integer(self._modulus, self._ints[z])
+    def __getitem__(self, z: Element):
+        try:
+            z = self._group.require_element(z)
+        except (TypeError, ValueError):
+            raise KeyError(z) from None
+        return self._read(z)
 
     def __iter__(self) -> Iterator[Element]:
-        return iter(self._ints)
+        return self._group.elements()
 
     def __len__(self) -> int:
-        return len(self._ints)
+        return self._group.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Exact eigenvalues of a Cayley graph, indexed by group element.
-
-    `values[z]` is the exact cyclotomic sum over the connection set;
-    `integral_values` is the same data as plain integers when every
-    eigenvalue is rational (hence an integer), otherwise None.  `by_rank`
-    holds those integers as an int64 array in rank order, as the spectrum
-    methods compute them; the engine reads that array."""
+    """Exact eigenvalues of a Cayley graph: `by_rank` as int64 in rank
+    order, or None exactly when some eigenvalue is irrational, and then the
+    connection set, to compute each eigenvalue when it is read.  `values`
+    (RootOfUnitySum) and `integral_values` (int; None unless integral) are
+    read-only views of them keyed by element."""
 
     group: FiniteAbelianGroup
     degree: int
-    values: Mapping[Element, RootOfUnitySum]
-    integral_values: Optional[dict[Element, int]]
-    by_rank: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    by_rank: Optional[np.ndarray]
+    connection: Optional[ConnectionSet] = None
 
     @property
     def is_integral(self) -> bool:
-        return self.integral_values is not None
+        return self.by_rank is not None
+
+    @property
+    def integral_values(self) -> Optional[Mapping[Element, int]]:
+        if self.by_rank is None:
+            return None
+        return ElementMap(self.group, lambda z: int(self.by_rank[self.group.rank(z)]))
+
+    @property
+    def values(self) -> Mapping[Element, RootOfUnitySum]:
+        return ElementMap(self.group, self._value)
+
+    def _value(self, z: Element) -> RootOfUnitySum:
+        counts = [0] * self.group.exponent
+        for k, c in self._terms(z):
+            counts[k] = c
+        return RootOfUnitySum(len(counts), tuple(counts))
+
+    def approx(self, z: Element) -> complex:
+        """values[z].approx() from the terms of z, without its count vector."""
+        return approx_terms(self.group.exponent, self._terms(z))
+
+    def _terms(self, z: Element) -> list[tuple[int, int]]:
+        # (k, c) with c != 0 in increasing k: the eigenvalue is sum c w^k
+        if self.by_rank is not None:
+            v = int(self.by_rank[self.group.rank(z)])
+            return [(0, v)] if v else []
+        G = self.group
+        return sorted(Counter(G.character_exponent(z, s) for s in self.connection).items())
 
 
-SpectrumMethod = Literal["auto", "generic", "walsh", "ramanujan"]
-
-
-def spectrum(graph: CayleyGraph, method: SpectrumMethod = "auto") -> Spectrum:
-    """Exact spectrum; eigenvalue at z is sum over s in S of the root of
-    unity with exponent the character pairing of z and s.
-
-    "walsh" is the butterfly fast path, valid only when every group factor
-    has order 2.  "ramanujan" sums one Ramanujan sum per unit orbit of S,
-    valid only when S is a union of unit orbits.  "generic" reduces one
-    cyclotomic count vector per element and always works; it is the
-    reference for the other two.  "auto" picks walsh, then ramanujan, then
-    generic.  The fast paths give integers; `values` then reads them as
-    RootOfUnitySum on demand."""
+def spectrum(graph: CayleyGraph) -> Spectrum:
+    """Exact spectrum: the eigenvalue at z is the sum over s in S of the
+    root of unity with exponent the pairing of z and s.  It is integral iff
+    S is a union of unit orbits (Bridges-Mena), else returned at once.  It
+    is then the Walsh transform of S (exponent 2) or one Ramanujan row per
+    unit orbit, with `cyclotomic_spectrum` as the reference for both."""
     G = graph.group
-    if method == "auto":
-        if G.exponent == 2:
-            method = "walsh"
-        elif graph.unit_orbits is not None:
-            method = "ramanujan"
-        else:
-            method = "generic"
-    if method == "walsh":
-        if G.exponent != 2:
-            raise ValueError("the butterfly method requires a group of exponent 2")
+    if graph.unit_orbits is None:
+        return Spectrum(G, graph.degree, None, graph.connection)
+    if G.exponent == 2:
         indicator = np.zeros(G.n, dtype=np.int64)
         for s in graph.connection:
             indicator[G.rank(s)] = 1
-        return _integer_spectrum(graph, hadamard_transform(indicator))
-    if method == "ramanujan":
-        if graph.unit_orbits is None:
-            raise ValueError("the Ramanujan method requires a unit-closed connection set")
-        orbits = [(s, d, 1) for s, d in graph.unit_orbits]
-        return _integer_spectrum(graph, ramanujan_transform(G, orbits))
+        return Spectrum(G, graph.degree, hadamard_transform(indicator))
+    orbits = [(s, d, 1) for s, d in graph.unit_orbits]
+    return Spectrum(G, graph.degree, ramanujan_transform(G, orbits))
 
+
+def cyclotomic_spectrum(graph: CayleyGraph) -> list[RootOfUnitySum]:
+    """Eigenvalues in element order, each a count vector reduced modulo the
+    cyclotomic polynomial: the reference for the transforms of `spectrum`."""
+    G = graph.group
     e = G.exponent
-    values = {}
-    ranked: Optional[list[int]] = []
+    out = []
     for z in G.elements():
         counts = [0] * e
         for s in graph.connection:
             counts[G.character_exponent(z, s)] += 1
-        coeff = RootOfUnitySum(e, tuple(counts))
-        values[z] = coeff
-        if ranked is not None:
-            as_int = coeff.as_integer()
-            if as_int is None:
-                ranked = None
-            else:
-                ranked.append(as_int)
-    if ranked is None:
-        return Spectrum(G, graph.degree, values, None)
-    lam = np.array(ranked, dtype=np.int64)
-    return Spectrum(G, graph.degree, values, dict(zip(G.elements(), ranked)), lam)
-
-
-def _integer_spectrum(graph: CayleyGraph, lam: np.ndarray) -> Spectrum:
-    G = graph.group
-    ints = dict(zip(G.elements(), lam.tolist()))
-    view = IntegerSpectrumView(G.exponent, ints)
-    return Spectrum(G, graph.degree, view, ints, lam)
+        out.append(RootOfUnitySum(e, tuple(counts)).reduced())
+    return out
 
 
 def is_integral(graph: CayleyGraph) -> bool:
     """True iff every eigenvalue of the graph is an integer; by
     Bridges-Mena, iff the connection set is a union of unit orbits."""
-    return graph.unit_orbits is not None
-
-
-def unit_closed(graph: CayleyGraph) -> bool:
-    """True iff the connection set is closed under multiplication by every
-    unit of Z_exponent (equivalent to an integral spectrum)."""
     return graph.unit_orbits is not None
 
 

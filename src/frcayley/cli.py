@@ -75,9 +75,9 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     graph = graph_from_json(_load_json(args.spec))
     spec = spectrum(graph)
     if spec.is_integral:
-        eigen = [spec.integral_values[z] for z in graph.group.elements()]
+        eigen = spec.by_rank.tolist()
     else:
-        eigen = [spec.values[z].approx().real for z in graph.group.elements()]
+        eigen = [spec.approx(z).real for z in graph.group.elements()]
     _emit(
         args,
         {

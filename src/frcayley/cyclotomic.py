@@ -13,7 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,7 @@ class IntPolynomial:
 
 
 def _divisors(e: int) -> list[int]:
-    out = [d for d in range(1, e + 1) if e % d == 0]
-    return out
+    return [d for d in range(1, e + 1) if e % d == 0]
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -138,6 +137,15 @@ def cyclotomic_polynomial(e: int) -> IntPolynomial:
     if not rem.is_zero:  # impossible for a correct divisor product
         raise ArithmeticError(f"inexact cyclotomic division at order {e}")
     return quot
+
+
+def approx_terms(modulus: int, terms: Iterable[tuple[int, int]]) -> complex:
+    """Float value of the sum of c * w^k, w = exp(2*pi*i/modulus), over
+    the (k, c) in `terms`, added in the order given."""
+    total = 0j
+    for k, c in terms:
+        total += c * cmath.exp(2j * cmath.pi * k / modulus)
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,12 +239,7 @@ class RootOfUnitySum:
 
     def approx(self) -> complex:
         """Floating-point value, for display and numeric cross-checks only."""
-        e = self.modulus
-        total = 0j
-        for k, c in enumerate(self.counts):
-            if c:
-                total += c * cmath.exp(2j * cmath.pi * k / e)
-        return total
+        return approx_terms(self.modulus, ((k, c) for k, c in enumerate(self.counts) if c))
 
     # -- comparison -------------------------------------------------------
 

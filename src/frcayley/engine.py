@@ -118,15 +118,13 @@ def involution_moduli(spec: Spectrum, involutions: Sequence[Element]) -> list[Mo
     reference is the unit vector at the last coordinate of supp(a), the
     lexicographically smallest element of the minus half, as in
     compute_moduli.  Cost O(n) numpy for the fold, O(2^t) per involution."""
-    if spec.integral_values is None:
+    lam = spec.by_rank
+    if lam is None:
         raise NonIntegralSpectrumError(
             "the spectrum is not integral; no rational-phase times exist"
         )
     G = spec.group
     d = spec.degree
-    lam = spec.by_rank
-    if lam is None:  # a Spectrum built by hand carries only the tuple dict
-        lam = np.fromiter((spec.integral_values[g] for g in G.elements()), np.int64, G.n)
     # Split each even factor Z_m into (m / 2) x (parity), then move the t
     # parity axes to the front: row x of `blocks` is parity class x, with
     # the first even factor as its most significant bit, listed in rank

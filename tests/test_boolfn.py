@@ -78,6 +78,21 @@ class TestHadamardTransform:
         ]
         assert got.tolist() == expected
 
+    @pytest.mark.parametrize("k", range(9))
+    def test_matches_walsh_matrix_up_to_256(self, k):
+        n = 1 << k
+        vals = np.random.default_rng(k).integers(-(2**40), 2**40, size=n)
+        i = np.arange(n)
+        walsh = 1 - 2 * (np.bitwise_count(i[:, None] & i[None, :]) % 2).astype(np.int64)
+        got = hadamard_transform(vals.tolist())
+        assert got.dtype == np.int64
+        assert np.array_equal(got, walsh @ vals)
+
+    def test_leaves_its_input_unchanged(self):
+        vals = np.arange(8, dtype=np.int64)
+        hadamard_transform(vals)
+        assert vals.tolist() == list(range(8))
+
     @given(st.lists(st.integers(min_value=-8, max_value=8), min_size=4, max_size=4))
     def test_involutive_up_to_scale(self, vals):
         twice = hadamard_transform(hadamard_transform(vals))

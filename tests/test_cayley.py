@@ -6,6 +6,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,15 +22,16 @@ from frcayley import (
     SpecFormatError,
     ZeroInSetError,
     adjacency_matrix,
+    cyclotomic_spectrum,
     graph_from_json,
     graph_to_json,
     is_integral,
     make_graph,
     make_group,
     spectrum,
-    unit_closed,
     validate_connection_set,
 )
+from frcayley.boolfn import hadamard_transform, ramanujan_transform
 from helpers import (
     graph_from_set,
     naive_spectrum_complex,
@@ -134,6 +136,73 @@ class TestSpectrum:
         assert all(v == 0 for v in spec.integral_values.values())
 
 
+def reference_integers(graph):
+    """Integer eigenvalues in element order from the cyclotomic reference,
+    None when one is irrational."""
+    ints = [v.as_integer() for v in cyclotomic_spectrum(graph)]
+    return None if None in ints else ints
+
+
+class TestSpectrumViews:
+    """`values` and `integral_values` read like the tuple-keyed dicts they
+    replace, without storing one."""
+
+    def test_integral_values_are_python_ints(self, units_graph):
+        vals = spectrum(units_graph).integral_values
+        assert all(type(v) is int for v in vals.values())
+        assert type(vals[(1, 3)]) is int
+        assert json.loads(json.dumps(vals[(1, 3)])) == -4
+
+    @pytest.mark.parametrize("key", [(0, 9), (2, 0), (0, -1), (0,), (0, 0, 0), 5, "01"])
+    def test_non_element_key_raises_key_error(self, units_graph, key):
+        spec = spectrum(units_graph)
+        for view in (spec.integral_values, spec.values):
+            with pytest.raises(KeyError):
+                view[key]
+            assert key not in view
+            assert view.get(key) is None
+
+    def test_compares_as_dict(self, prism_graph):
+        vals = spectrum(prism_graph).integral_values
+        expected = {(0, 0): 3, (0, 1): 0, (0, 2): 0, (1, 0): 1, (1, 1): -2, (1, 2): -2}
+        assert vals == expected and expected == vals
+        assert vals != {**expected, (1, 2): 0}
+        assert dict(vals) == expected
+
+    def test_iteration_in_element_order(self, units_graph, cycle5):
+        for graph in (units_graph, cycle5):
+            spec = spectrum(graph)
+            views = [spec.values] + ([spec.integral_values] if spec.is_integral else [])
+            for view in views:
+                assert list(view) == list(graph.group.elements())
+                assert len(view) == graph.n
+
+    def test_read_only(self, units_graph):
+        vals = spectrum(units_graph).integral_values
+        with pytest.raises(TypeError):
+            vals[(0, 0)] = 0
+
+    def test_non_integral_values_match_reference(self, cycle5):
+        spec = spectrum(cycle5)
+        assert spec.by_rank is None and spec.integral_values is None
+        for z, ref in zip(cycle5.group.elements(), cyclotomic_spectrum(cycle5)):
+            assert spec.values[z] == ref
+            assert spec.approx(z) == spec.values[z].approx()
+
+    def test_non_integral_spectrum_stores_no_count_vectors(self):
+        # Z2 x Z20000: 40000 count vectors of length 20000 would take gigabytes.
+        graph = quiet_graph([2, 20000], [(0, 1), (0, 19999), (1, 0)])
+        tracemalloc.start()
+        try:
+            spec = spectrum(graph)
+            value = spec.values[(1, 5000)]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert not spec.is_integral and value.as_integer() == -1  # -1 + i^1 + i^-1
+
+
 class TestWalshMethod:
     def test_agrees_with_generic_on_two_groups(self):
         rng = random.Random(0xC0FFEE)
@@ -145,32 +214,25 @@ class TestWalshMethod:
                 if not s:
                     continue
                 graph = graph_from_set(group, s)
-                walsh = spectrum(graph, method="walsh")
-                generic = spectrum(graph, method="generic")
-                assert walsh.integral_values == generic.integral_values
-
-    def test_walsh_requires_exponent_two(self, prism_graph):
-        with pytest.raises(ValueError):
-            spectrum(prism_graph, method="walsh")
+                assert spectrum(graph).by_rank.tolist() == reference_integers(graph)
 
 
 class TestUnitClosed:
     def test_units_graph_closed(self, units_graph):
-        assert unit_closed(units_graph)
+        assert is_integral(units_graph)
 
     def test_doubled_units_closed(self, doubled_units_graph):
-        assert unit_closed(doubled_units_graph)
+        assert is_integral(doubled_units_graph)
 
     def test_prism_is_closed(self, prism_graph):
-        assert unit_closed(prism_graph)
+        assert is_integral(prism_graph)
 
     def test_nine_cycle_not_closed(self):
-        assert not unit_closed(quiet_graph([9], [(1,), (8,)]))
+        assert not is_integral(quiet_graph([9], [(1,), (8,)]))
 
     def test_unit_closed_implies_integral(self, corpus):
         for name, graph in corpus:
-            if unit_closed(graph):
-                assert is_integral(graph), name
+            assert spectrum(graph).is_integral == is_integral(graph), name
 
 
 class TestUnitOrbits:
@@ -215,7 +277,7 @@ def test_bridges_mena_unit_closed_iff_integral(data):
     else:
         s = random_symmetric_set(group, rng, prob=data.draw(st.sampled_from([0.1, 0.4])))
     graph = graph_from_set(group, s)
-    assert unit_closed(graph) == spectrum(graph, method="generic").is_integral
+    assert is_integral(graph) == (reference_integers(graph) is not None)
 
 
 def _family_graphs_up_to_100():
@@ -233,23 +295,25 @@ def _family_graphs_up_to_100():
 
 
 class TestRamanujanMethod:
-    """The unit-orbit Ramanujan path against the generic cyclotomic reference."""
+    """The unit-orbit Ramanujan kernel, and the spectrum built on it, against
+    the generic cyclotomic reference."""
 
     def _check(self, graph, name):
-        fast = spectrum(graph, method="ramanujan")
-        ref = spectrum(graph, method="generic")
-        assert fast.integral_values == ref.integral_values, name
-        for z in graph.group.elements():
-            assert fast.values[z] == ref.values[z], (name, z)
-        assert spectrum(graph).integral_values == ref.integral_values, name
-        if graph.group.exponent == 2:
-            walsh = spectrum(graph, method="walsh")
-            assert fast.integral_values == walsh.integral_values, name
+        G = graph.group
+        ref = cyclotomic_spectrum(graph)
+        ints = [v.as_integer() for v in ref]
+        orbits = [(s, d, 1) for s, d in graph.unit_orbits]
+        assert ramanujan_transform(G, orbits).tolist() == ints, name
+        fast = spectrum(graph)
+        assert fast.by_rank.tolist() == ints, name
+        assert fast.integral_values == dict(zip(G.elements(), ints)), name
+        for z, v in zip(G.elements(), ref):
+            assert fast.values[z] == v, (name, z)
 
     def test_corpus(self, corpus):
         checked = 0
         for name, graph in corpus:
-            if unit_closed(graph):
+            if is_integral(graph):
                 self._check(graph, name)
                 checked += 1
         assert checked >= 20
@@ -276,9 +340,40 @@ class TestRamanujanMethod:
         with pytest.raises(TypeError):
             values[(0, 0)] = values[(0, 1)]
 
-    def test_requires_unit_closed_set(self, cycle5):
-        with pytest.raises(ValueError):
-            spectrum(cycle5, method="ramanujan")
+    def test_agrees_with_walsh_on_exponent_two(self):
+        # On (Z2)^k every symmetric set is a union of unit orbits, so both
+        # kernels apply; they must give the same integers.
+        rng = random.Random(0xF00D)
+        for k in range(1, 8):
+            group = make_group([2] * k)
+            for _ in range(6):
+                graph = graph_from_set(group, random_symmetric_set(group, rng, prob=0.3))
+                indicator = np.zeros(group.n, dtype=np.int64)
+                for s in graph.connection:
+                    indicator[group.rank(s)] = 1
+                orbits = [(s, d, 1) for s, d in graph.unit_orbits]
+                walsh = hadamard_transform(indicator).tolist()
+                assert ramanujan_transform(group, orbits).tolist() == walsh, k
+
+    def test_kernel_memory_is_linear_in_the_order(self):
+        # (Z2)^16 x Z4, n = 2^18: an r x n coordinate array alone would be
+        # 34 MiB; each pairing is built one factor at a time instead.
+        orders = [2] * 16 + [4]
+        group = make_group(orders)
+        units = [tuple(int(i == j) for j in range(17)) for i in range(16)]
+        rows = units + [(0,) * 16 + (1,), (0,) * 16 + (3,)]
+        graph = graph_from_set(group, rows)
+        tracemalloc.start()
+        try:
+            spec = spectrum(graph)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        # lambda(z) = sum of (-1)^z_i over the Z2 factors + 2 cos(pi z_17 / 2)
+        r = np.arange(group.n)
+        expected = 16 - 2 * np.bitwise_count(r >> 2).astype(np.int64) + np.array([2, 0, -2, 0])[r % 4]
+        assert np.array_equal(spec.by_rank, expected)
 
 
 class TestAdjacencyMatrix:

@@ -77,6 +77,27 @@ class TestSpectrumCommand:
         assert doc["eigenvalues"][0] == 2
         assert math.isclose(doc["eigenvalues"][1], 2 * math.cos(2 * math.pi / 5), abs_tol=1e-9)
 
+    def test_large_non_integral_spectrum_is_bounded(self, capsys, tmp_path):
+        # Z2 x Z20000, S = {(0, +-1), (1, 0)}: each float comes from the three
+        # pairings of its element, with no count vector of length 20000.
+        spec = write_json(tmp_path, "big.json", graph_doc([2, 20000], [(0, 1), (0, 19999), (1, 0)]))
+        target = tmp_path / "out.json"
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code, _, _ = run(capsys, ["spectrum", spec, "-o", str(target)])
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert elapsed < 10.0
+        assert peak < 64 * 2**20
+        eigen = json.loads(target.read_text())["eigenvalues"]
+        assert len(eigen) == 40000 and eigen[0] == 3.0
+        # (1, 5000): -1 + i + (-i)
+        assert math.isclose(eigen[20000 + 5000], -1.0, abs_tol=1e-9)
+
     def test_disconnected_still_reports(self, capsys, tmp_path):
         spec = write_json(tmp_path, "dis.json", graph_doc([2, 3], [(0, 1), (0, 2)]))
         with warnings.catch_warnings():

@@ -11,6 +11,7 @@ import textwrap
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +34,8 @@ from frcayley import (
     split_by_involution,
     verify_fr,
 )
-from frcayley.cayley import Spectrum
+from frcayley.boolfn import ramanujan_transform
+from frcayley.cayley import Spectrum, cyclotomic_spectrum
 from helpers import graph_from_set, quiet_graph, random_symmetric_set, random_unit_closed_set
 
 
@@ -335,10 +337,11 @@ class TestInvolutionModuli:
         seed = data.draw(st.integers(min_value=0, max_value=2**31))
         graph = graph_from_set(group, random_unit_closed_set(group, random.Random(seed)))
         invs = group.involutions()
-        methods = ["generic", "ramanujan"] + (["walsh"] if group.exponent == 2 else [])
-        for method in methods:
-            spec = spectrum(graph, method)
-            assert involution_moduli(spec, invs) == self.reference(spec, invs), (orders, method)
+        reference = np.array([v.as_integer() for v in cyclotomic_spectrum(graph)], np.int64)
+        orbits = [(s, d, 1) for s, d in graph.unit_orbits]
+        for lam in (spectrum(graph).by_rank, ramanujan_transform(group, orbits), reference):
+            spec = Spectrum(group, graph.degree, lam)
+            assert involution_moduli(spec, invs) == self.reference(spec, invs), orders
 
     def test_agrees_with_split_on_corpus(self, corpus):
         for name, graph in corpus:
@@ -363,14 +366,6 @@ class TestInvolutionModuli:
             assert search_all(fresh) == found, name
             assert [decide_fr(fresh, a) for a in fresh.group.involutions()] == decided, name
 
-    def test_hand_built_spectrum(self, units_graph):
-        # A Spectrum made without the rank-ordered array reads the tuple dict.
-        spec = spectrum(units_graph)
-        bare = Spectrum(spec.group, spec.degree, spec.values, spec.integral_values)
-        assert bare.by_rank is None
-        assert involution_moduli(bare, [(1, 0)]) == involution_moduli(spec, [(1, 0)])
-        assert decide_fr(units_graph, (1, 0), bare) == decide_fr(units_graph, (1, 0))
-
     def test_rejects_non_involution_and_non_integral(self, units_graph, cycle5):
         spec = spectrum(units_graph)
         with pytest.raises(NotInvolutionError):
@@ -381,11 +376,12 @@ class TestInvolutionModuli:
             involution_moduli(spectrum(cycle5), [])
 
     def test_spectrum_array_is_in_rank_order(self, units_graph, hypercube_q3):
-        cases = [(units_graph, "ramanujan"), (units_graph, "generic"), (hypercube_q3, "walsh")]
-        for graph, method in cases:
-            spec = spectrum(graph, method)
-            ranked = [spec.integral_values[z] for z in graph.group.elements()]
-            assert spec.by_rank.tolist() == ranked, method
+        # units_graph takes the Ramanujan kernel, hypercube_q3 the Walsh one
+        for graph in (units_graph, hypercube_q3):
+            spec = spectrum(graph)
+            ranked = [v.as_integer() for v in cyclotomic_spectrum(graph)]
+            assert spec.by_rank.tolist() == ranked, graph.group.orders
+            assert [spec.integral_values[z] for z in graph.group.elements()] == ranked
 
 
 # Each invariant with a fragment of the message its check raises.
@@ -414,7 +410,7 @@ def violate(case: str) -> None:
             split_by_involution(group, (2,))
         elif case in ("modulus", "fold_modulus"):
             # m0 = gcd(5 - 5, 5 - 2) = 3 does not divide n = 4.
-            spec = Spectrum(group, 5, {}, {(0,): 5, (1,): 0, (2,): 2, (3,): 0})
+            spec = Spectrum(group, 5, np.array([5, 0, 2, 0], dtype=np.int64))
             if case == "modulus":
                 compute_moduli(spec, split_by_involution(group, (2,)))
             else:

@@ -39,3 +39,12 @@ def test_decide_probe(probe):
     report = probe.probe_decide()
     assert report["n"] == 10**5 and report["kind"] == "PERIODIC"
     assert 0 <= report["decide_fr_cpu_s"] < 0.6
+
+
+def test_spectrum_probe_is_bounded(probe):
+    # Non-integral `fr spectrum` on Z2 x Z20000 keeps no count vectors.
+    report = probe.probe_spectrum()
+    assert report["n"] == 40000 and report["integral"] is False
+    assert report["exit_codes"] == [0, 0]
+    assert 0 <= report["spectrum_cpu_s"] < 10.0
+    assert report["tracemalloc_peak_mib"] < 64
