@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the scale probes beyond the benchmark ladder and print them as JSON.
 
-Three probes, each one run in this process, timed in CPU seconds:
+Five probes, each one run in this process, timed in CPU seconds:
 
 - connectivity: make_graph on Z2 x Z4 x Z1250 (n = 10^4) with the
   unit-closed set {(a, b, u) : u a unit mod 1250} (|S| = 4000);
@@ -10,6 +10,9 @@ Three probes, each one run in this process, timed in CPU seconds:
   timed apart from building the graph;
 - decide: decide_fr for the one involution (1, 0, 0) on a fresh copy of
   that graph, timed the same way;
+- cube: search_all on (Z2)^14 and on (Z2)^16 with a seeded random set of
+  300 nonzero elements, timed apart from building the graph: 16383 and
+  65535 involutions;
 - spectrum: `fr spectrum` on the non-integral Z2 x Z20000 graph with
   S = {(0, 1), (0, -1), (1, 0)} (n = 40000), run in process twice: once
   timed, once under tracemalloc for its peak.
@@ -21,6 +24,7 @@ Usage:
 from __future__ import annotations
 
 import json
+import random
 import sys
 import tempfile
 import time
@@ -79,6 +83,24 @@ def probe_decide() -> dict:
     }
 
 
+def probe_cube(t: int, size: int = 300, seed: int = 0) -> dict:
+    group = fr.make_group([2] * t)
+    rows = [group.unrank(r) for r in random.Random(seed).sample(range(1, group.n), size)]
+    start = time.process_time()
+    graph = fr.make_graph(group.orders, rows)
+    built = time.process_time()
+    found = fr.search_all(graph)
+    return {
+        "n": graph.n,
+        "degree": graph.degree,
+        "involutions": graph.n - 1,
+        "certificates": len(found),
+        "fr_certificates": sum(w.kind is fr.WitnessKind.FR for _, w in found),
+        "make_graph_cpu_s": built - start,
+        "search_all_cpu_s": time.process_time() - built,
+    }
+
+
 def probe_spectrum() -> dict:
     doc = {"group": [2, 20000], "set": [[0, 1], [0, 19999], [1, 0]]}
     with tempfile.TemporaryDirectory() as tmp:
@@ -110,6 +132,8 @@ def main() -> int:
         "connectivity": probe_connectivity(),
         "search": probe_search(),
         "decide": probe_decide(),
+        "cube_14": probe_cube(14),
+        "cube_16": probe_cube(16),
         "spectrum": probe_spectrum(),
     }
     print(json.dumps(report, indent=2, sort_keys=True))

@@ -13,18 +13,19 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
-from typing import Optional, Sequence
+from functools import cache, partial, reduce
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .boolfn import hadamard_transform
 from .cayley import CayleyGraph, Spectrum, spectrum
 from .errors import (
     NonIntegralSpectrumError,
     NotInvolutionError,
     SpecFormatError,
 )
-from .groups import MAX_GROUP_ORDER, Element, FiniteAbelianGroup
+from .groups import MAX_GROUP_ORDER, Element, FiniteAbelianGroup, _prime_factors
 from .ioutil import _json_int, _json_int_list, _json_number, _json_object, _json_str
 
 
@@ -105,33 +106,73 @@ def compute_moduli(
     return Moduli(m0, m1, m, reference, d - lam_ref)
 
 
-def involution_moduli(spec: Spectrum, involutions: Sequence[Element]) -> list[Moduli]:
-    """The moduli of compute_moduli(spec, split_by_involution(G, a)) for
-    each involution a, from one fold of the spectrum onto G/2G.
+class InvolutionModulus(NamedTuple):
+    """What a certificate needs of the moduli of one involution, as
+    compute_moduli gives them: m = gcd(m0, m1), the reference element and
+    delta = d - lambda_ref."""
+
+    m: int
+    reference: Element
+    delta: int
+
+
+def involution_moduli(
+    spec: Spectrum, involutions: Sequence[Element]
+) -> list[InvolutionModulus]:
+    """m, reference and delta of compute_moduli(spec, split_by_involution(G,
+    a)) for each involution a, from one fold of the spectrum onto G/2G.
+
+    Whether a prime power q divides m(a) is a count over the parity
+    classes of a, and one Walsh-Hadamard transform of a 0/1 row per q gives
+    that count for every involution (see _fold_moduli).  That costs
+    O(sum_p (v_p(n) + 1) * t * 2^t) over the primes p tested, after an
+    O(n) fold; up to t involutions are instead read one column at a time,
+    in O(2^t) per row each.  The reference is the unit vector at the last
+    coordinate of supp(a), the lexicographically smallest element of the
+    minus half, as in compute_moduli."""
+    G = spec.group
+    t, D, F = _fold(spec)
+    evens = [i for i, m in enumerate(G.orders) if m % 2 == 0]
+    masks = []
+    for a in involutions:
+        a = G.require_element(a)
+        if G.element_order(a) != 2:
+            raise NotInvolutionError(f"element {a} does not have order 2")
+        masks.append(sum(1 << (t - 1 - bit) for bit, i in enumerate(evens) if a[i]))
+    if len(masks) <= t:
+        m, delta = _fold_moduli(G.n, t, D, F, masks)
+    else:
+        m, delta = (v[masks] for v in _fold_moduli(G.n, t, D, F, None))
+    out = []
+    for mask, mi, di in zip(masks, m.tolist(), delta.tolist()):
+        last = evens[t - (mask & -mask).bit_length()]
+        reference = tuple(int(i == last) for i in range(len(G.orders)))
+        out.append(InvolutionModulus(mi, reference, di))
+    return out
+
+
+def _fold(spec: Spectrum) -> tuple[int, np.ndarray, np.ndarray]:
+    """(t, D, F): the integral spectrum folded onto G/2G.
 
     With a_i = m_i / 2 on supp(a), chi_a(g) = (-1)^(sum of g_i over
-    supp(a)), so the half that g lies in depends only on the parity class
-    x of g over the t even factors.  Each class keeps G0[x] = gcd(d -
-    lambda_g), its first eigenvalue L[x] in rank order and F[x] =
-    gcd(lambda_g - L[x]).  Then m0 is the gcd of G0 over the even classes
-    of a, and m1 that of F and of L[x] - L[x'] over its odd classes.  The
-    reference is the unit vector at the last coordinate of supp(a), the
-    lexicographically smallest element of the minus half, as in
-    compute_moduli.  Cost O(n) numpy for the fold, O(2^t) per involution."""
+    supp(a)), so the half that g lies in depends only on its parity class
+    x: the bits g_i mod 2 over the t even factors, the first one most
+    significant.  The mask of a sets the same bits for the factors where a
+    is nonzero, so masks 1 .. 2^t - 1 run in group.involutions() order, and
+    g lies in the minus half exactly when x & mask has odd popcount.  Class
+    x keeps D[x] = d - L[x], with L[x] its first eigenvalue in rank order,
+    and F[x] = gcd(lambda_g - L[x]) over the class.  Cost O(n) numpy, with
+    at most three n-length temporaries and no coordinate array."""
     lam = spec.by_rank
     if lam is None:
         raise NonIntegralSpectrumError(
             "the spectrum is not integral; no rational-phase times exist"
         )
-    G = spec.group
-    d = spec.degree
     # Split each even factor Z_m into (m / 2) x (parity), then move the t
-    # parity axes to the front: row x of `blocks` is parity class x, with
-    # the first even factor as its most significant bit, listed in rank
-    # order.  At most three n-length temporaries; no coordinate array.
+    # parity axes to the front: row x of `blocks` is parity class x.
     shape: list[int] = []
     parity_axes: list[int] = []
-    for m in G.orders:
+    for m in spec.group.orders:
         if m % 2 == 0:
             shape.append(m // 2)
             parity_axes.append(len(shape))
@@ -142,35 +183,120 @@ def involution_moduli(spec: Spectrum, involutions: Sequence[Element]) -> list[Mo
     rest = [i for i in range(len(shape)) if i not in parity_axes]
     blocks = lam.reshape(shape).transpose(parity_axes + rest).reshape(1 << t, -1)
     first = blocks[:, 0]
-    plus_gcd = np.gcd.reduce(d - blocks, axis=1)
-    spread = np.gcd.reduce(blocks - first[:, None], axis=1)
-    # parity[x] = popcount(x) mod 2
-    parity = np.zeros(1 << t, dtype=bool)
-    for i in range(t):
-        parity[1 << i : 2 << i] = ~parity[: 1 << i]
-    classes = np.arange(1 << t)
-    even_orders = [(i, m) for i, m in enumerate(G.orders) if m % 2 == 0]
+    return t, spec.degree - first, np.gcd.reduce(blocks - first[:, None], axis=1)
 
-    out = []
-    for a in involutions:
-        a = G.require_element(a)
-        if G.element_order(a) != 2:
-            raise NotInvolutionError(f"element {a} does not have order 2")
-        mask = 0
-        last = 0
-        for bit, (i, m) in enumerate(even_orders):
-            if a[i] == m // 2:
-                mask |= 1 << (t - 1 - bit)
-                last = i
-        odd = parity[classes & mask]
-        reference = tuple(int(i == last) for i in range(len(G.orders)))
-        lam_ref = int(lam[G.rank(reference)])
-        m0 = int(np.gcd.reduce(plus_gcd[~odd]))
-        m1 = math.gcd(int(np.gcd.reduce(spread[odd])), int(np.gcd.reduce(first[odd] - lam_ref)))
-        m = math.gcd(m0, m1)
-        if m != 0 and G.n % m != 0:
-            raise ArithmeticError(f"modulus {m} does not divide the group order {G.n}")
-        out.append(Moduli(m0, m1, m, reference, d - lam_ref))
+
+# Entries of the (moduli x 2^t) divisibility stack per chunk: each int64
+# temporary holds about 2^18 entries (2 MiB), or one row when 2^t is larger.
+_CHUNK = 1 << 18
+
+
+def _fold_moduli(
+    n: int, t: int, D: np.ndarray, F: np.ndarray, masks: Optional[list[int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """int64 arrays m and delta over `masks`, or over every mask 0 .. 2^t - 1
+    when it is None (entry 0 unused), from the fold (t, D, F).
+
+    m(a) = gcd(m0, m1) is the gcd of F over every class, of D over the even
+    classes of a, and of D[x] - D[r] over its odd classes, where r, the
+    lowest set bit of the mask, is the class of the reference and D[r] is
+    delta.  So m(a) divides f = gcd(F), and a modulus q with q | f divides
+    m(a) exactly when
+
+        #{even x : D[x] != 0 mod q} + #{odd x : D[x] != D[r] mod q} = 0.
+
+    With A = [D != 0 mod q] and C = [D != D[r] mod q] the left side is
+    (sum A + sum C + W(A - C)[a]) / 2, where W is the Walsh-Hadamard
+    transform (see _divisible).  One row per modulus q: each power p^j that
+    divides f, up to one past v_p(n), of the primes p that can divide some
+    m(a) (_candidate_primes); and when f = 0 the zero test q = 2 max|D| + 1,
+    larger than every |D[x]| and |D[x] - D[r]|, so it divides m(a) exactly
+    when m(a) = 0.  The rows cost O(rows * t * 2^t) for every mask at
+    once, O(rows * 2^t) per listed mask.  Raises if some m(a) does not
+    divide n."""
+    f = int(np.gcd.reduce(F))
+    qs = [2 * int(np.abs(D).max()) + 1] if f == 0 else []
+    powers = []  # (p, p^j)
+    for p in _candidate_primes(f, D):
+        q = p
+        while f % q == 0:
+            powers.append((p, q))
+            if n % q:
+                break
+            q *= p
+    qs += [q for _, q in powers]
+    size = len(masks) if masks is not None else 1 << t
+    hits = np.zeros((len(qs), size), dtype=bool)
+    step = max(1, _CHUNK >> t)
+    for lo in range(0, len(qs), step):
+        chunk = np.array(qs[lo : lo + step], dtype=np.int64)
+        hits[lo : lo + len(chunk)] = _divisible(D % chunk[:, None], t, masks)
+
+    zero = hits[0] if f == 0 else np.zeros(size, dtype=bool)
+    m = np.ones(size, dtype=np.int64)
+    for (p, q), hit in zip(powers, hits[len(qs) - len(powers) :]):
+        if n % q == 0:
+            m[hit] *= p
+        elif (hit & ~zero).any():
+            raise ArithmeticError(
+                f"a modulus divisible by {q} does not divide the group order {n}"
+            )
+    m[zero] = 0
+    lowest = np.arange(size) if masks is None else np.array(masks, dtype=np.int64)
+    return m, D[lowest & -lowest]
+
+
+def _candidate_primes(f: int, D: np.ndarray) -> list[int]:
+    """Every prime that divides some m(a) > 0 (see _fold_moduli).
+
+    They divide f when f != 0.  When f = 0, let c = D[x] be the first
+    nonzero entry and e = D[y] the first outside {0, c}.  A prime p of m(a)
+    makes D mod p vanish on the even classes of a and equal D[r] on the odd
+    ones.  So p | c when x is even; when x is odd, p | e or p | e - c, as
+    y is even or odd.  With no such y, D takes the values 0 and c only; x
+    odd and p not dividing c then force D = c exactly on the odd classes,
+    where m(a) = 0."""
+    if f:
+        return _prime_factors(f)
+    nonzero = D[D != 0]
+    if nonzero.size == 0:
+        return []
+    c = int(nonzero[0])
+    others = nonzero[nonzero != c]
+    values = [c] if others.size == 0 else [c, int(others[0]), int(others[0]) - c]
+    return sorted({p for v in values for p in _prime_factors(abs(v))})
+
+
+def _divisible(residues: np.ndarray, t: int, masks: Optional[list[int]]) -> np.ndarray:
+    """hits[k, a] = (the count of _fold_moduli is 0) for each row k of
+    residues = D mod q_k, at each mask of `masks`, or at every mask.
+
+    A mask with lowest set bit 2^i is b * 2^(i+1) + 2^i, and its character
+    sign at class x is (-1)^(bit i of x) * (-1)^(popcount of b & (x >>
+    (i + 1))).  So W(R) at every such mask is one transform of length
+    2^(t-1-i) of R summed over the low bits with sign (-1)^(bit i): all t
+    of them cost one full transform.  A listed mask is one signed sum."""
+    rows = residues.shape[0]
+    A = residues != 0
+    base = A.sum(axis=1)
+    A = A.astype(np.int64)
+    if masks is None:
+        out = np.zeros((rows, 1 << t), dtype=bool)
+        for i in range(t):
+            C = residues != residues[:, 1 << i, None]
+            halves = (A - C).reshape(rows, -1, 2, 1 << i).sum(axis=3)
+            W = hadamard_transform(halves[:, :, 0] - halves[:, :, 1])
+            out[:, 1 << i :: 2 << i] = (base + C.sum(axis=1))[:, None] + W == 0
+        return out
+    # parity[x] = popcount(x) mod 2
+    parity = np.zeros(1 << t, dtype=np.int64)
+    for i in range(t):
+        parity[1 << i : 2 << i] = 1 - parity[: 1 << i]
+    x = np.arange(1 << t)
+    out = np.empty((rows, len(masks)), dtype=bool)
+    for k, mask in enumerate(masks):
+        C = residues != residues[:, mask & -mask, None]
+        out[:, k] = base + C.sum(axis=1) + (A - C) @ (1 - 2 * parity[x & mask]) == 0
     return out
 
 
@@ -245,6 +371,7 @@ class FRWitness:
         return (w0 - w1) / 2
 
     def to_json(self) -> dict:
+        alpha, beta = self.alpha, self.beta
         return {
             "a": list(self.a),
             "kind": self.kind.value,
@@ -253,8 +380,8 @@ class FRWitness:
             "rho0": self.rho0,
             "rho1": self.rho1,
             "time": self.time,
-            "alpha": {"re": self.alpha.real, "im": self.alpha.imag},
-            "beta": {"re": self.beta.real, "im": self.beta.imag},
+            "alpha": {"re": alpha.real, "im": alpha.imag},
+            "beta": {"re": beta.real, "im": beta.imag},
             "valid_k": list(self.valid_k),
         }
 
@@ -345,43 +472,50 @@ def decide_fr(
     if spec is None:
         spec = spectrum(graph)
     (mod,) = involution_moduli(spec, [a])
-    return _witness(a, spec.degree, mod)
+    fields = _witness_fields(spec.degree, mod.m, mod.delta)
+    return None if fields is None else FRWitness(a, *fields)
 
 
-def _witness(a: Element, degree: int, mod: Moduli) -> Optional[FRWitness]:
-    """The canonical witness of decide_fr from the moduli of a."""
-    if mod.m > 0:
-        big_n = mod.m
-    elif mod.delta == 0:
+def _witness_fields(degree: int, m: int, delta: int) -> Optional[tuple]:
+    """(k, modulus, rho0, rho1, valid_k) of the canonical witness of
+    decide_fr, which depend on the involution only through m and delta."""
+    if m > 0:
+        big_n = m
+    elif delta == 0:
         return None
     else:
-        big_n = 4 * abs(mod.delta)
-    valid = valid_k(mod.delta, big_n)
+        big_n = 4 * abs(delta)
+    valid = valid_k(delta, big_n)
     # When delta lands outside {0, N/2} mod N, k = 1 itself is valid, so the
     # canonical witness always sits at k = 1 (FR exists iff 1 is in valid).
     if valid and valid[0] != 1:
         raise ArithmeticError(f"k = {valid[0]} is valid but k = 1 is not")
     k = 1
-    lam_ref = degree - mod.delta
+    lam_ref = degree - delta
     rho0 = (k * degree) % big_n
     rho1 = (k * lam_ref) % big_n
-    return FRWitness(a, k, big_n, rho0, rho1, valid)
+    return k, big_n, rho0, rho1, valid
 
 
 def search_all(graph: CayleyGraph) -> list[tuple[Element, FRWitness]]:
     """Classify every involution of the group, as decide_fr does each one,
-    from one spectrum and one fold of it (involution_moduli).
+    from one spectrum and one fold of it (_fold_moduli over every mask).
 
     Empty for odd group order (no involutions) and for non-integral spectra;
     both are decided before any spectrum work.
     """
-    involutions = graph.group.involutions()
+    G = graph.group
+    involutions = G.involutions()
     if not involutions or graph.unit_orbits is None:
         return []
     spec = spectrum(graph)
+    t, D, F = _fold(spec)
+    m, delta = _fold_moduli(G.n, t, D, F, None)
+    # few distinct (m, delta) pairs: each one's fields are computed once
+    fields = cache(partial(_witness_fields, spec.degree))
     out: list[tuple[Element, FRWitness]] = []
-    for a, mod in zip(involutions, involution_moduli(spec, involutions)):
-        w = _witness(a, spec.degree, mod)
-        if w is not None:
-            out.append((a, w))
+    for a, mi, di in zip(involutions, m[1:].tolist(), delta[1:].tolist()):
+        f = fields(mi, di)
+        if f is not None:
+            out.append((a, FRWitness(a, *f)))
     return out

@@ -6,7 +6,7 @@ and raises SpecFormatError naming the field otherwise."""
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring
 
 from .errors import SpecFormatError
 
@@ -14,9 +14,67 @@ from .errors import SpecFormatError
 def dump_json(data) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline.
 
+    The text is json.dumps(data, indent=2, sort_keys=True,
+    ensure_ascii=False) + "\n", byte for byte, for documents of dicts with
+    string keys, lists, tuples, strings, ints, floats, bools and None.
     Floats are rendered by Python's shortest-roundtrip repr, so identical
-    inputs always produce byte-identical output."""
-    return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    inputs always produce byte-identical output.  It is one recursive
+    join; json.dumps falls back to its pure-Python encoder whenever it
+    indents."""
+    return _render(data, "\n") + "\n"
+
+
+_INF = float("inf")
+
+
+def _float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# Scalar renderers by exact type; subclasses take the isinstance checks of
+# _render, made in the order json.dumps makes them.
+_SCALAR = {
+    str: encode_basestring,
+    int: int.__repr__,
+    float: _float,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _render(value, newline: str) -> str:
+    # `newline` is a line break followed by the indent of `value`
+    scalar = _SCALAR.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(v) is int for v in value):
+            items = map(int.__repr__, value)
+        else:
+            items = [_render(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, v in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring(key) + ": " + _render(v, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    for cls in (str, int, float):
+        if isinstance(value, cls):
+            return _SCALAR[cls](value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _json_int(value: object, field: str) -> int:

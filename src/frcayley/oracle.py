@@ -22,6 +22,13 @@ from .groups import Element, FiniteAbelianGroup
 _MAX_DENSE_ORDER = 256
 
 
+def _require_dense(group: FiniteAbelianGroup) -> None:
+    if group.n > _MAX_DENSE_ORDER:
+        raise OracleDimensionError(
+            f"dense oracle limited to order {_MAX_DENSE_ORDER}, got {group.n}"
+        )
+
+
 def _coordinate_array(group: FiniteAbelianGroup) -> np.ndarray:
     return np.array(list(group.elements()), dtype=np.int64)
 
@@ -79,10 +86,7 @@ def transfer_matrix(graph: CayleyGraph, t: float) -> TransferMatrix:
     """H(t) via the character eigenbasis: the walk is a function of vertex
     differences, so one row determines the whole matrix."""
     G = graph.group
-    if G.n > _MAX_DENSE_ORDER:
-        raise OracleDimensionError(
-            f"dense oracle limited to order {_MAX_DENSE_ORDER}, got {G.n}"
-        )
+    _require_dense(G)
     table = character_table(G)
     lam = eigenvalue_array(graph, table)
     phases = np.exp(1j * t * lam)
@@ -95,10 +99,7 @@ def series_walk_matrix(graph: CayleyGraph, t: float, terms: int = 25) -> np.ndar
     """Second, eigenbasis-free oracle: scaling-and-squaring Taylor series
     for exp(i t A) straight from the adjacency matrix."""
     G = graph.group
-    if G.n > _MAX_DENSE_ORDER:
-        raise OracleDimensionError(
-            f"dense oracle limited to order {_MAX_DENSE_ORDER}, got {G.n}"
-        )
+    _require_dense(G)
     if terms < 20:
         raise ValueError("at least 20 series terms are required for full precision")
     A = adjacency_matrix(graph).astype(np.complex128)
@@ -154,8 +155,10 @@ def verify_fr(
     is the translation permutation by the witness element.
 
     Also checks structurally (in exact integers) that Q is a symmetric
-    fixed-point-free involution, and numerically that H(t) is unitary."""
+    fixed-point-free involution, and numerically that H(t) is unitary.
+    The order cap is checked before any n x n array is built."""
     G = graph.group
+    _require_dense(G)
     a = G.require_element(witness.a)
     n = G.n
     Q = np.zeros((n, n), dtype=np.int64)
@@ -189,10 +192,7 @@ def fr_grid_scan(
     rational time because the phase modulus divides the group order, and in
     the free two-eigenvalue case the very first grid point already works."""
     G = graph.group
-    if G.n > _MAX_DENSE_ORDER:
-        raise OracleDimensionError(
-            f"dense oracle limited to order {_MAX_DENSE_ORDER}, got {G.n}"
-        )
+    _require_dense(G)
     if targets is None:
         targets = list(G.involutions())
     else:

@@ -14,13 +14,34 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frcayley as fr
 from frcayley import decide_fr, graph_to_json, make_graph
 from frcayley.cli import build_parser, main
+from frcayley.ioutil import dump_json
 from conftest import BENT4_SUPPORT, PRISM_SET, UNITS_9, UNITS_SET
+
+
+# Nested dicts and lists, empty containers, bools inside int lists, None,
+# NaN and infinities, large ints, and strings that need escapes or are not
+# ASCII.
+JSON_DOCUMENTS = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(min_value=-(2**80), max_value=2**80),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.text(),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(st.one_of(st.integers(), st.booleans()), max_size=6),
+        st.dictionaries(st.text(), children, max_size=4),
+    ),
+    max_leaves=24,
+)
 
 
 def write_json(tmp_path, name, doc):
@@ -492,6 +513,17 @@ class TestDeterminism:
         run(capsys, ["construct", spec, "--verify", "-o", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @given(JSON_DOCUMENTS)
+    @settings(max_examples=300)
+    def test_dump_json_is_the_indented_sorted_json_text(self, doc):
+        expected = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert dump_json(doc) == expected
+
+    def test_dump_json_writes_tuples_and_str_enums_as_json_does(self):
+        doc = {"kind": fr.WitnessKind.FR, "a": (1, 0), "rows": ((0, 1), [True, 2])}
+        expected = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert dump_json(doc) == expected
+
 
 class TestPipelineClosure:
     FAMILIES = [
@@ -633,6 +665,28 @@ class TestForgedValidK:
         assert "valid_k" in err
         assert elapsed < 0.5
         assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("orders", [[2, 1024], [2, 20000]])
+def test_verify_above_the_dense_cap_is_exit_three_at_once(capsys, tmp_path, orders):
+    # n = 2048 and n = 40000: the order cap comes before any n x n array
+    m = orders[1]
+    graph = write_json(tmp_path, "g.json", graph_doc(orders, [(0, 1), (0, m - 1), (1, 0)]))
+    witness = {"a": [1, 0], "k": 1, "modulus": 4, "rho0": 0, "rho1": 1}
+    cert = write_json(tmp_path, "cert.json", witness)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["verify", graph, cert])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out == ""
+    assert "dense oracle limited" in err
+    assert elapsed < 1.0
+    assert peak < 16 * 2**20
 
 
 def _positions(node, prefix=()):

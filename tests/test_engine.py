@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -315,12 +316,19 @@ class TestIntegralityFirst:
 
 
 class TestInvolutionModuli:
-    """The fold onto G/2G gives, for every involution, the moduli of the
-    per-involution reference compute_moduli(spec, split_by_involution)."""
+    """The fold onto G/2G gives, for every involution, the m, reference and
+    delta of the per-involution reference compute_moduli(spec,
+    split_by_involution), both from the transform over every involution and
+    one column at a time."""
 
     @staticmethod
     def reference(spec, involutions):
-        return [compute_moduli(spec, split_by_involution(spec.group, a)) for a in involutions]
+        mods = [compute_moduli(spec, split_by_involution(spec.group, a)) for a in involutions]
+        return [(mod.m, mod.reference, mod.delta) for mod in mods]
+
+    @staticmethod
+    def one_at_a_time(spec, involutions):
+        return [involution_moduli(spec, [a])[0] for a in involutions]
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -341,7 +349,45 @@ class TestInvolutionModuli:
         orbits = [(s, d, 1) for s, d in graph.unit_orbits]
         for lam in (spectrum(graph).by_rank, ramanujan_transform(group, orbits), reference):
             spec = Spectrum(group, graph.degree, lam)
-            assert involution_moduli(spec, invs) == self.reference(spec, invs), orders
+            expected = self.reference(spec, invs)
+            assert involution_moduli(spec, invs) == expected, orders
+            assert self.one_at_a_time(spec, invs) == expected, orders
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_split_on_arbitrary_integer_arrays(self, data):
+        # Any integer array as the spectrum, built from a few values so that
+        # the moduli are often large: the divisibility counts must find each
+        # prime of m, also one that does not divide n, where both sides raise.
+        orders = data.draw(
+            st.sampled_from([[2], [4], [2, 2], [2, 3], [2, 4], [6, 2], [2, 2, 2], [4, 4], [2] * 4])
+        )
+        group = make_group(orders)
+        d = data.draw(st.integers(min_value=0, max_value=12))
+        pool = data.draw(st.lists(st.integers(min_value=-d, max_value=d), min_size=1, max_size=3))
+        lam = data.draw(st.lists(st.sampled_from(pool), min_size=group.n, max_size=group.n))
+        spec = Spectrum(group, d, np.array(lam, dtype=np.int64))
+        invs = group.involutions()
+        try:
+            expected = self.reference(spec, invs)
+        except ArithmeticError as exc:
+            assert "does not divide" in str(exc)
+            with pytest.raises(ArithmeticError, match="does not divide"):
+                involution_moduli(spec, invs)
+        else:
+            assert involution_moduli(spec, invs) == expected, (orders, lam)
+            assert self.one_at_a_time(spec, invs) == expected, (orders, lam)
+
+    def test_random_cube_of_dimension_13_within_two_seconds(self):
+        # 8191 involutions, decided by divisibility counts rather than one
+        # fold pass each
+        group = make_group([2] * 13)
+        ranks = random.Random(13).sample(range(1, group.n), 200)
+        graph = graph_from_set(group, [group.unrank(r) for r in ranks])
+        start = time.process_time()
+        found = search_all(graph)
+        assert time.process_time() - start < 2.0
+        assert len(found) == 8191
 
     def test_agrees_with_split_on_corpus(self, corpus):
         for name, graph in corpus:
@@ -349,7 +395,9 @@ class TestInvolutionModuli:
             if not invs or graph.unit_orbits is None:
                 continue
             spec = spectrum(graph)
-            assert involution_moduli(spec, invs) == self.reference(spec, invs), name
+            expected = self.reference(spec, invs)
+            assert involution_moduli(spec, invs) == expected, name
+            assert self.one_at_a_time(spec, invs) == expected, name
 
     def test_decisions_use_neither_split_nor_pairing(self, corpus, monkeypatch):
         expected = [
@@ -390,6 +438,7 @@ INVARIANTS = {
     "half": "in half",
     "modulus": "does not divide",
     "fold_modulus": "does not divide",
+    "fold_modulus_cube": "does not divide",
     "k1": "k = 1 is not",
 }
 
@@ -406,7 +455,12 @@ def violate(case: str) -> None:
         if case in patches:
             mp.setattr(*patches[case])
         group = make_group([4])
-        if case in ("sign", "half"):
+        if case == "fold_modulus_cube":
+            # On (Z2)^2 with a = (1, 0): m0 = gcd(0, 5 - 2) = 3 and m1 = 0.
+            # No class spread is nonzero, so 3 is found from the fold alone.
+            cube = make_group([2, 2])
+            involution_moduli(Spectrum(cube, 5, np.array([5, 2, 2, 2])), [(1, 0)])
+        elif case in ("sign", "half"):
             split_by_involution(group, (2,))
         elif case in ("modulus", "fold_modulus"):
             # m0 = gcd(5 - 5, 5 - 2) = 3 does not divide n = 4.

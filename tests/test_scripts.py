@@ -41,6 +41,14 @@ def test_decide_probe(probe):
     assert 0 <= report["decide_fr_cpu_s"] < 0.6
 
 
+def test_cube_probe_decides_every_involution_from_counts(probe):
+    # 16383 involutions of (Z2)^14 from divisibility counts, not a fold pass each
+    report = probe.probe_cube(14)
+    assert report["n"] == 2**14 and report["degree"] == 300
+    assert report["involutions"] == report["certificates"] == 16383
+    assert 0 <= report["search_all_cpu_s"] < 2.0
+
+
 def test_spectrum_probe_is_bounded(probe):
     # Non-integral `fr spectrum` on Z2 x Z20000 keeps no count vectors.
     report = probe.probe_spectrum()
