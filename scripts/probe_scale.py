@@ -12,7 +12,8 @@ Five probes, each one run in this process, timed in CPU seconds:
   that graph, timed the same way;
 - cube: search_all on (Z2)^14 and on (Z2)^16 with a seeded random set of
   300 nonzero elements, timed apart from building the graph: 16383 and
-  65535 involutions;
+  65535 involutions; then the whole `fr search -o` on the same graph, run
+  in process, with the size of the document it writes;
 - spectrum: `fr spectrum` on the non-integral Z2 x Z20000 graph with
   S = {(0, 1), (0, -1), (1, 0)} (n = 40000), run in process twice: once
   timed, once under tracemalloc for its peak.
@@ -90,6 +91,15 @@ def probe_cube(t: int, size: int = 300, seed: int = 0) -> dict:
     graph = fr.make_graph(group.orders, rows)
     built = time.process_time()
     found = fr.search_all(graph)
+    searched = time.process_time()
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "graph.json"
+        out = Path(tmp) / "search.json"
+        spec.write_text(json.dumps(fr.graph_to_json(graph)), encoding="utf-8")
+        start_cli = time.process_time()
+        code = fr_main(["search", str(spec), "-o", str(out)])
+        cli_cpu = time.process_time() - start_cli
+        written = out.read_bytes()
     return {
         "n": graph.n,
         "degree": graph.degree,
@@ -97,7 +107,11 @@ def probe_cube(t: int, size: int = 300, seed: int = 0) -> dict:
         "certificates": len(found),
         "fr_certificates": sum(w.kind is fr.WitnessKind.FR for _, w in found),
         "make_graph_cpu_s": built - start,
-        "search_all_cpu_s": time.process_time() - built,
+        "search_all_cpu_s": searched - built,
+        "search_exit_code": code,
+        "search_cpu_s": cli_cpu,
+        "search_output_bytes": len(written),
+        "search_output_certificates": len(json.loads(written)["certificates"]),
     }
 
 

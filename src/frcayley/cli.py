@@ -16,8 +16,10 @@ Exit codes: 0 positive result, 1 negative result, 2 malformed input,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
+import operator
 import sys
 from typing import Optional, Sequence
 
@@ -36,7 +38,7 @@ from .engine import FRWitness, WitnessKind, decide_fr, search_all
 from .errors import FrCayleyError, HypothesisViolationError, SpecFormatError
 from .families import build_from_spec, engine_agrees
 from .groups import make_group
-from .ioutil import _json_int_list, _json_object, dump_json
+from .ioutil import _json_int_list, _json_object, dump_json, splice_records
 from .oracle import verify_fr
 
 EXIT_OK = 0
@@ -62,8 +64,7 @@ def _load_json(path: str):
             raise SpecFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _emit(args: argparse.Namespace, document: dict) -> None:
-    text = dump_json(document)
+def _emit(args: argparse.Namespace, text: str) -> None:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -80,30 +81,47 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         eigen = [spec.approx(z).real for z in graph.group.elements()]
     _emit(
         args,
-        {
-            "group": list(graph.group.orders),
-            "set": [list(s) for s in graph.connection],
-            "degree": graph.degree,
-            "integral": spec.is_integral,
-            "eigenvalues": eigen,
-        },
+        dump_json(
+            {
+                "group": list(graph.group.orders),
+                "set": [list(s) for s in graph.connection],
+                "degree": graph.degree,
+                "integral": spec.is_integral,
+                "eigenvalues": eigen,
+            }
+        ),
     )
     return EXIT_OK
 
 
+# A certificate's JSON depends on everything but its involution `a` only
+# through these witness fields, and a search has few distinct values of them.
+_body_fields = operator.attrgetter(
+    *(f.name for f in dataclasses.fields(FRWitness) if f.name != "a")
+)
+
+
 def _cmd_search(args: argparse.Namespace) -> int:
     graph = graph_from_json(_load_json(args.spec))
-    results = search_all(graph)
-    found = any(w.kind is WitnessKind.FR for _, w in results)
-    _emit(
-        args,
+    bodies: dict[tuple, dict] = {}
+    records = []
+    for a, w in search_all(graph):
+        fields = _body_fields(w)
+        body = bodies.get(fields)
+        if body is None:
+            body = bodies[fields] = w.to_json()
+            del body["a"]
+        records.append((a, body))
+    found = any(body["kind"] == WitnessKind.FR.value for body in bodies.values())
+    head = dump_json(
         {
             "group": list(graph.group.orders),
             "set": [list(s) for s in graph.connection],
             "fr_found": found,
-            "certificates": [w.to_json() for _, w in results],
-        },
+        }
     )
+    # "certificates" sorts before the other keys, and "a" before the body's
+    _emit(args, splice_records(head, "certificates", "a", records))
     return EXIT_OK if found else EXIT_NEGATIVE
 
 
@@ -112,9 +130,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     a = graph.group.require_element(parse_element(args.a))
     witness = decide_fr(graph, a)
     if witness is None:
-        _emit(args, {"a": list(a), "kind": "ABSENT"})
+        _emit(args, dump_json({"a": list(a), "kind": "ABSENT"}))
         return EXIT_NEGATIVE
-    _emit(args, witness.to_json())
+    _emit(args, dump_json(witness.to_json()))
     return EXIT_OK if witness.kind is WitnessKind.FR else EXIT_NEGATIVE
 
 
@@ -132,7 +150,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         document["engine_agrees"] = agrees
         if not (report.passed and agrees):
             code = EXIT_NEGATIVE
-    _emit(args, document)
+    _emit(args, dump_json(document))
     return code
 
 
@@ -140,7 +158,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     graph = graph_from_json(_load_json(args.spec))
     witness = FRWitness.from_json(_load_json(args.cert))
     report = verify_fr(graph, witness, tol=args.tol)
-    _emit(args, report.to_json())
+    _emit(args, dump_json(report.to_json()))
     return EXIT_OK if report.passed else EXIT_NEGATIVE
 
 
@@ -163,7 +181,7 @@ def _cmd_boolfn(args: argparse.Namespace) -> int:
         document["support"] = [list(x) for x in support(f)]
         document["support_size"] = f.weight
         document["eigenvalues"] = [int(v) for v in eigenvalues_from_walsh(f)]
-    _emit(args, document)
+    _emit(args, dump_json(document))
     return EXIT_OK if cls is not BooleanClass.NEITHER else EXIT_NEGATIVE
 
 
@@ -178,7 +196,7 @@ def _cmd_plateaued(args: argparse.Namespace) -> int:
         "plateaued": level is not None,
         "level": None if level is None else {"k": level[0], "r": level[1]},
     }
-    _emit(args, document)
+    _emit(args, dump_json(document))
     return EXIT_OK if level is not None else EXIT_NEGATIVE
 
 

@@ -7,6 +7,7 @@ and raises SpecFormatError naming the field otherwise."""
 from __future__ import annotations
 
 from json.encoder import encode_basestring
+from typing import Sequence
 
 from .errors import SpecFormatError
 
@@ -25,6 +26,7 @@ def dump_json(data) -> str:
 
 
 _INF = float("inf")
+_INTS = {int}
 
 
 def _float(value: float) -> str:
@@ -57,7 +59,7 @@ def _render(value, newline: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if all(type(v) is int for v in value):
+        if set(map(type, value)) == _INTS:
             items = map(int.__repr__, value)
         else:
             items = [_render(v, inner) for v in value]
@@ -75,6 +77,41 @@ def _render(value, newline: str) -> str:
         if isinstance(value, cls):
             return _SCALAR[cls](value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def splice_records(text: str, field: str, key: str, records: Sequence) -> str:
+    """The canonical text of {field: [{key: value, **body} for value, body
+    in records], **rest}, given text = dump_json(rest) for a non-empty rest
+    whose keys all sort after field.  key must sort before every key of
+    each body, and no body may be empty.
+
+    Each distinct body object (by identity) is rendered once, and each
+    value once, so records that share a few bodies cost little more than
+    their values."""
+    if records:
+        # the list sits one indent deep, its records two, their fields three
+        opening = _opening(key, "\n    ")
+        # id(body) -> its text after the value; records holds every body
+        # for the whole loop, so no id is reused
+        closings: dict[int, str] = {}
+        items = []
+        for value, body in records:
+            closing = closings.get(id(body))
+            if closing is None:
+                if not (body and key < min(body)):
+                    raise ValueError(f"key {key!r} must sort before every key of a non-empty body")
+                closing = closings[id(body)] = "," + _render(body, "\n    ")[1:]
+            items.append(opening + _render(value, "\n      ") + closing)
+        listed = "[\n    " + ",\n    ".join(items) + "\n  ]"
+    else:
+        listed = "[]"
+    return _opening(field, "\n") + listed + "," + text[1:]
+
+
+def _opening(key: str, newline: str) -> str:
+    # An object's text up to its first value, for an object at the indent
+    # `newline`; the text of the rest of it goes on from its own "{".
+    return "{" + newline + "  " + encode_basestring(key) + ": "
 
 
 def _json_int(value: object, field: str) -> int:

@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 import frcayley as fr
 from frcayley import decide_fr, graph_to_json, make_graph
 from frcayley.cli import build_parser, main
-from frcayley.ioutil import dump_json
+from frcayley.ioutil import dump_json, splice_records
 from conftest import BENT4_SUPPORT, PRISM_SET, UNITS_9, UNITS_SET
+from helpers import random_unit_closed_set
 
 
 # Nested dicts and lists, empty containers, bools inside int lists, None,
@@ -523,6 +524,115 @@ class TestDeterminism:
         doc = {"kind": fr.WitnessKind.FR, "a": (1, 0), "rows": ((0, 1), [True, 2])}
         expected = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
         assert dump_json(doc) == expected
+
+    @given(
+        st.lists(JSON_DOCUMENTS, max_size=6),
+        st.lists(st.dictionaries(st.text(min_size=1), JSON_DOCUMENTS, min_size=1, max_size=3),
+                 min_size=1, max_size=3),
+        st.data(),
+    )
+    @settings(max_examples=200)
+    def test_spliced_records_are_the_indented_sorted_json_text(self, values, bodies, data):
+        # Every non-empty key sorts after ""; bodies repeat by identity.
+        records = [(v, data.draw(st.sampled_from(bodies))) for v in values]
+        doc = {"records": [{"": v, **body} for v, body in records], "rest": bodies}
+        expected = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert splice_records(dump_json({"rest": bodies}), "records", "", records) == expected
+
+    @pytest.mark.parametrize("body", [{}, {"a": 1}, {"A": 1, "b": 2}])
+    def test_spliced_key_must_sort_first(self, body):
+        with pytest.raises(ValueError, match="must sort before"):
+            splice_records(dump_json({"b": 0}), "a", "a", [([1], body)])
+
+
+def search_reference(doc: dict) -> str:
+    """The text `fr search` must write for a graph document: json.dumps of
+    the document built from search_all and FRWitness.to_json."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", fr.DisconnectedGraphWarning)
+        graph = fr.graph_from_json(doc)
+    results = fr.search_all(graph)
+    document = {
+        "group": list(graph.group.orders),
+        "set": [list(s) for s in graph.connection],
+        "fr_found": any(w.kind is fr.WitnessKind.FR for _, w in results),
+        "certificates": [w.to_json() for _, w in results],
+    }
+    return json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def search_outputs(doc: dict) -> tuple[int, str, str]:
+    """`fr search` on a graph document: exit code, -o file text, stdout."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", fr.DisconnectedGraphWarning)
+        spec = write_json(Path(tmp), "graph.json", doc)
+        out = Path(tmp) / "out.json"
+        code = main(["search", spec, "-o", str(out)])
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            again = main(["search", spec])
+        assert again == code
+        return code, out.read_text(encoding="utf-8"), stdout.getvalue()
+
+
+@st.composite
+def unit_closed_ring_graphs(draw):
+    """Z_m, Z2 x Z_m or Z4 x Z_m with a random union of unit orbits."""
+    orders = draw(st.sampled_from([(), (2,), (4,)])) + (draw(st.integers(2, 24)),)
+    rng = draw(st.randoms(use_true_random=False))
+    prob = draw(st.sampled_from([0.2, 0.5, 0.9]))
+    return graph_doc(orders, random_unit_closed_set(fr.make_group(orders), rng, prob))
+
+
+@st.composite
+def random_cube_graphs(draw):
+    """(Z2)^t, t <= 7, with a random set of nonzero elements."""
+    group = fr.make_group([2] * draw(st.integers(1, 7)))
+    ranks = draw(st.sets(st.integers(1, group.n - 1), max_size=group.n - 1))
+    return graph_doc(group.orders, [group.unrank(r) for r in sorted(ranks)])
+
+
+class TestSearchBytes:
+    """`fr search` renders each distinct certificate body once and splices
+    in `a`; the bytes it writes must be those of json.dumps, to a file and
+    to stdout alike."""
+
+    # name: (graph, kinds of its certificates, number of distinct bodies)
+    CASES = {
+        "odd order": (graph_doc([9], [(u,) for u in UNITS_9]), [], 0),
+        "non-integral": (graph_doc([8], [(1,), (7,)]), [], 0),
+        "PST only, one factor": (graph_doc([4], [(1,), (3,)]), ["PST"], 1),
+        "PERIODIC only, one factor": (graph_doc([8], [(i,) for i in range(1, 8)]), ["PERIODIC"], 1),
+        "PERIODIC only, cube": (
+            graph_doc([2, 2], [(0, 1), (1, 0), (1, 1)]), ["PERIODIC"] * 3, 1,
+        ),
+        "FR, one factor": (graph_doc([2], [(1,)]), ["FR"], 1),
+        "two bodies, ring": (
+            graph_doc([2, 4], [(0, 1), (0, 3), (1, 0)]), ["PERIODIC", "PERIODIC", "PST"], 2,
+        ),
+        "two bodies, cube": (
+            graph_doc([2, 2, 2], [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+            ["PERIODIC"] * 6 + ["PST"],
+            2,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_case(self, case):
+        doc, kinds, bodies = self.CASES[case]
+        expected = search_reference(doc)
+        certificates = json.loads(expected)["certificates"]
+        assert [c["kind"] for c in certificates] == kinds
+        assert len({json.dumps({**c, "a": None}) for c in certificates}) == bodies
+        assert search_outputs(doc) == (0 if "FR" in kinds else 1, expected, expected)
+
+    @given(st.one_of(unit_closed_ring_graphs(), random_cube_graphs()))
+    @settings(max_examples=80, deadline=None)
+    def test_random_graphs(self, doc):
+        expected = search_reference(doc)
+        code, written, printed = search_outputs(doc)
+        assert written == printed == expected
+        assert code == (0 if json.loads(expected)["fr_found"] else 1)
 
 
 class TestPipelineClosure:

@@ -1,8 +1,10 @@
 """Checks in boolfn, families and oracle raise explicitly; none is an
-assert, so python -O keeps them all."""
+assert, so python -O keeps them all.  No module of the package holds an
+assert statement at all."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import subprocess
 import sys
@@ -96,3 +98,17 @@ class TestExplicitChecks:
         assert len(lines) == len(CHECKS)
         for line, (_, fragment) in zip(lines, CHECKS.values()):
             assert fragment in line
+
+
+SOURCES = sorted(Path(fr.__file__).parent.glob("*.py"))
+
+
+def test_sources_are_found():
+    assert {p.name for p in SOURCES} >= {"cli.py", "engine.py", "ioutil.py", "oracle.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statement(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name} asserts at lines {lines}; raise explicitly instead"

@@ -47,6 +47,11 @@ def test_cube_probe_decides_every_involution_from_counts(probe):
     assert report["n"] == 2**14 and report["degree"] == 300
     assert report["involutions"] == report["certificates"] == 16383
     assert 0 <= report["search_all_cpu_s"] < 2.0
+    # and the whole `fr search -o`, which renders each distinct body once
+    assert report["search_exit_code"] == 1
+    assert report["search_output_certificates"] == 16383
+    assert report["search_output_bytes"] > 16383 * 300
+    assert 0 <= report["search_cpu_s"] < 1.5
 
 
 def test_spectrum_probe_is_bounded(probe):
