@@ -25,15 +25,6 @@ import frcayley as fr
 
 
 @dataclass(frozen=True)
-class SweepConfig:
-    """Which variants to build, and the limits applied to each instance."""
-
-    variants: tuple[str, ...] = ("A", "B", "C", "D", "E")
-    max_order: int = 512
-    tolerance: float = 1e-9
-
-
-@dataclass(frozen=True)
 class SweepRow:
     label: str
     order: int
@@ -49,43 +40,43 @@ class SweepRow:
         return self.engine_ok and self.oracle_ok
 
 
-def iter_builds(config: SweepConfig) -> Iterable[fr.BuiltFamily]:
-    if "A" in config.variants:
+def iter_builds(variants: Sequence[str]) -> Iterable[fr.BuiltFamily]:
+    if "A" in variants:
         for p, r, h in [
             (3, 2, ()), (5, 1, (3,)), (3, 1, (5,)), (7, 1, (3,)),
             (3, 2, (2,)), (5, 2, ()), (11, 1, (3,)),
         ]:
             yield fr.build_ramanujan_family(p, r, h)
-    if "B" in config.variants:
+    if "B" in variants:
         for pp in [
             [(2, 2), (3, 2)], [(2, 1), (3, 2)], [(2, 1), (5, 2)],
             [(2, 2), (5, 2)], [(2, 3), (3, 2)],
         ]:
             yield fr.build_multi_prime_family(pp)
-    if "C" in config.variants:
+    if "C" in variants:
         yield fr.build_plateaued_family([9], [(u,) for u in fr.units_mod(9)])
         yield fr.build_plateaued_family([27], [(u,) for u in fr.units_mod(27)])
         yield fr.build_plateaued_family(
             [3, 3], [(0, 1), (0, 2), (1, 0), (2, 0), (1, 1), (2, 2)]
         )
-    if "D" in config.variants:
+    if "D" in variants:
         quad = [(1, 1, 0, 0), (1, 1, 0, 1), (1, 1, 1, 0), (1, 1, 1, 1)]
         yield fr.build_cublike_family(quad, quad)
         supp6 = [s for s in fr.mm_bent(6).group.elements() if fr.mm_bent(6)(s)]
         yield fr.build_cublike_family(supp6, supp6)
-    if "E" in config.variants:
+    if "E" in variants:
         yield fr.build_bent_family(fr.mm_bent(4))
         yield fr.build_bent_family(fr.mm_bent(6))
 
 
-def sweep(config: SweepConfig) -> list[SweepRow]:
+def sweep(variants: Sequence[str], max_order: int, tolerance: float) -> list[SweepRow]:
     rows = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", fr.DisconnectedGraphWarning)
-        for built in iter_builds(config):
-            if built.graph.n > config.max_order:
+        for built in iter_builds(variants):
+            if built.graph.n > max_order:
                 continue
-            report = fr.verify_fr(built.graph, built.prediction, tol=config.tolerance)
+            report = fr.verify_fr(built.graph, built.prediction, tol=tolerance)
             rows.append(
                 SweepRow(
                     label=built.label,
@@ -110,11 +101,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--max-order", type=int, default=512)
     parser.add_argument("--tol", type=float, default=1e-9)
     args = parser.parse_args(argv)
-    config = SweepConfig(
-        variants=tuple(args.variant), max_order=args.max_order, tolerance=args.tol
-    )
 
-    rows = sweep(config)
+    rows = sweep(args.variant, args.max_order, args.tol)
     width = max(len(r.label) for r in rows) if rows else 8
     print(
         f"{'instance':<{width}}  {'n':>4} {'d':>4} {'N':>4} {'t':>10}  "

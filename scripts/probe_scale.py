@@ -12,8 +12,9 @@ Five probes, each one run in this process, timed in CPU seconds:
   that graph, timed the same way;
 - cube: search_all on (Z2)^14 and on (Z2)^16 with a seeded random set of
   300 nonzero elements, timed apart from building the graph: 16383 and
-  65535 involutions; then the whole `fr search -o` on the same graph, run
-  in process, with the size of the document it writes;
+  65535 involutions; then decide_fr for the one involution (0, ..., 0, 1),
+  whose class mask is 1; then the whole `fr search -o` on the same graph,
+  run in process, with the size of the document it writes;
 - spectrum: `fr spectrum` on the non-integral Z2 x Z20000 graph with
   S = {(0, 1), (0, -1), (1, 0)} (n = 40000), run in process twice: once
   timed, once under tracemalloc for its peak.
@@ -92,6 +93,8 @@ def probe_cube(t: int, size: int = 300, seed: int = 0) -> dict:
     built = time.process_time()
     found = fr.search_all(graph)
     searched = time.process_time()
+    witness = fr.decide_fr(graph, (0,) * (t - 1) + (1,))
+    decided = time.process_time()
     with tempfile.TemporaryDirectory() as tmp:
         spec = Path(tmp) / "graph.json"
         out = Path(tmp) / "search.json"
@@ -108,6 +111,8 @@ def probe_cube(t: int, size: int = 300, seed: int = 0) -> dict:
         "fr_certificates": sum(w.kind is fr.WitnessKind.FR for _, w in found),
         "make_graph_cpu_s": built - start,
         "search_all_cpu_s": searched - built,
+        "decide_kind": None if witness is None else witness.kind.value,
+        "decide_fr_cpu_s": decided - searched,
         "search_exit_code": code,
         "search_cpu_s": cli_cpu,
         "search_output_bytes": len(written),

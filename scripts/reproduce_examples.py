@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parents[1] / "src"))
@@ -35,13 +35,6 @@ class ExampleConfig:
     orders: Sequence[int]
     connection: Sequence[Sequence[int]]
     expect_fr: bool
-
-
-@dataclass(frozen=True)
-class RunOptions:
-    only: Optional[str] = None
-    tolerance: float = 1e-9
-    as_json: bool = False
 
 
 UNITS_9 = (1, 2, 4, 5, 7, 8)
@@ -81,7 +74,7 @@ EXAMPLES: tuple[ExampleConfig, ...] = (
 )
 
 
-def run_example(cfg: ExampleConfig, opts: RunOptions) -> dict:
+def run_example(cfg: ExampleConfig, tolerance: float) -> dict:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", fr.DisconnectedGraphWarning)
         graph = fr.make_graph(list(cfg.orders), cfg.connection)
@@ -97,7 +90,7 @@ def run_example(cfg: ExampleConfig, opts: RunOptions) -> dict:
     for a, witness in fr.search_all(graph):
         entry = witness.to_json()
         if witness.kind != fr.WitnessKind.PERIODIC:
-            report = fr.verify_fr(graph, witness, tol=opts.tolerance)
+            report = fr.verify_fr(graph, witness, tol=tolerance)
             entry["verified"] = report.passed
             entry["max_deviation"] = report.max_deviation
             if not report.passed:
@@ -134,15 +127,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--tol", type=float, default=1e-9, help="oracle tolerance")
     parser.add_argument("--json", action="store_true", help="emit one JSON document")
     args = parser.parse_args(argv)
-    opts = RunOptions(only=args.only, tolerance=args.tol, as_json=args.json)
 
-    selected = [c for c in EXAMPLES if opts.only in (None, c.name)]
+    selected = [c for c in EXAMPLES if args.only in (None, c.name)]
     if not selected:
         names = ", ".join(c.name for c in EXAMPLES)
-        parser.error(f"unknown example {opts.only!r}; choose from: {names}")
+        parser.error(f"unknown example {args.only!r}; choose from: {names}")
 
-    rows = [run_example(cfg, opts) for cfg in selected]
-    if opts.as_json:
+    rows = [run_example(cfg, args.tol) for cfg in selected]
+    if args.json:
         print(json.dumps(rows, indent=2, sort_keys=True))
     else:
         for row in rows:

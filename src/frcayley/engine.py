@@ -20,12 +20,13 @@ import numpy as np
 
 from .boolfn import hadamard_transform
 from .cayley import CayleyGraph, Spectrum, spectrum
+from .cyclotomic import _factorize
 from .errors import (
     NonIntegralSpectrumError,
     NotInvolutionError,
     SpecFormatError,
 )
-from .groups import MAX_GROUP_ORDER, Element, FiniteAbelianGroup, _prime_factors
+from .groups import MAX_GROUP_ORDER, Element, FiniteAbelianGroup
 from .ioutil import _json_int, _json_int_list, _json_number, _json_object, _json_str
 
 
@@ -122,32 +123,36 @@ def involution_moduli(
     """m, reference and delta of compute_moduli(spec, split_by_involution(G,
     a)) for each involution a, from one fold of the spectrum onto G/2G.
 
-    Whether a prime power q divides m(a) is a count over the parity
-    classes of a, and one Walsh-Hadamard transform of a 0/1 row per q gives
-    that count for every involution (see _fold_moduli).  That costs
-    O(sum_p (v_p(n) + 1) * t * 2^t) over the primes p tested, after an
-    O(n) fold; up to t involutions are instead read one column at a time,
-    in O(2^t) per row each.  The reference is the unit vector at the last
-    coordinate of supp(a), the lexicographically smallest element of the
-    minus half, as in compute_moduli."""
+    m(a) is the gcd of F over every class, of D over the even classes of a,
+    and of D[x] - D[r] over its odd classes, and delta = D[r], where r is
+    the class of the reference (see _fold_moduli): O(2^t) numpy per
+    involution after the O(n) fold.  The reference is the unit vector at
+    the last coordinate of supp(a), the lexicographically smallest element
+    of the minus half, as in compute_moduli."""
     G = spec.group
     t, D, F = _fold(spec)
+    f = int(np.gcd.reduce(F))
     evens = [i for i, m in enumerate(G.orders) if m % 2 == 0]
-    masks = []
+    # parity[x] = popcount(x) mod 2
+    parity = np.zeros(1 << t, dtype=bool)
+    for i in range(t):
+        parity[1 << i : 2 << i] = ~parity[: 1 << i]
+    classes = np.arange(1 << t)
+    out = []
     for a in involutions:
         a = G.require_element(a)
         if G.element_order(a) != 2:
             raise NotInvolutionError(f"element {a} does not have order 2")
-        masks.append(sum(1 << (t - 1 - bit) for bit, i in enumerate(evens) if a[i]))
-    if len(masks) <= t:
-        m, delta = _fold_moduli(G.n, t, D, F, masks)
-    else:
-        m, delta = (v[masks] for v in _fold_moduli(G.n, t, D, F, None))
-    out = []
-    for mask, mi, di in zip(masks, m.tolist(), delta.tolist()):
-        last = evens[t - (mask & -mask).bit_length()]
+        mask = sum(1 << (t - 1 - bit) for bit, i in enumerate(evens) if a[i])
+        r = mask & -mask
+        odd = parity[classes & mask]
+        delta = int(D[r])
+        m = math.gcd(f, int(np.gcd.reduce(D[~odd])), int(np.gcd.reduce(D[odd] - delta)))
+        if m != 0 and G.n % m != 0:
+            raise ArithmeticError(f"modulus {m} does not divide the group order {G.n}")
+        last = evens[t - r.bit_length()]
         reference = tuple(int(i == last) for i in range(len(G.orders)))
-        out.append(InvolutionModulus(mi, reference, di))
+        out.append(InvolutionModulus(m, reference, delta))
     return out
 
 
@@ -191,11 +196,9 @@ def _fold(spec: Spectrum) -> tuple[int, np.ndarray, np.ndarray]:
 _CHUNK = 1 << 18
 
 
-def _fold_moduli(
-    n: int, t: int, D: np.ndarray, F: np.ndarray, masks: Optional[list[int]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """int64 arrays m and delta over `masks`, or over every mask 0 .. 2^t - 1
-    when it is None (entry 0 unused), from the fold (t, D, F).
+def _fold_moduli(n: int, t: int, D: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int64 arrays m and delta over every mask 0 .. 2^t - 1 (entry 0
+    unused), from the fold (t, D, F).
 
     m(a) = gcd(m0, m1) is the gcd of F over every class, of D over the even
     classes of a, and of D[x] - D[r] over its odd classes, where r, the
@@ -212,8 +215,7 @@ def _fold_moduli(
     m(a) (_candidate_primes); and when f = 0 the zero test q = 2 max|D| + 1,
     larger than every |D[x]| and |D[x] - D[r]|, so it divides m(a) exactly
     when m(a) = 0.  The rows cost O(rows * t * 2^t) for every mask at
-    once, O(rows * 2^t) per listed mask.  Raises if some m(a) does not
-    divide n."""
+    once.  Raises if some m(a) does not divide n."""
     f = int(np.gcd.reduce(F))
     qs = [2 * int(np.abs(D).max()) + 1] if f == 0 else []
     powers = []  # (p, p^j)
@@ -225,15 +227,14 @@ def _fold_moduli(
                 break
             q *= p
     qs += [q for _, q in powers]
-    size = len(masks) if masks is not None else 1 << t
-    hits = np.zeros((len(qs), size), dtype=bool)
+    hits = np.zeros((len(qs), 1 << t), dtype=bool)
     step = max(1, _CHUNK >> t)
     for lo in range(0, len(qs), step):
         chunk = np.array(qs[lo : lo + step], dtype=np.int64)
-        hits[lo : lo + len(chunk)] = _divisible(D % chunk[:, None], t, masks)
+        hits[lo : lo + len(chunk)] = _divisible(D % chunk[:, None], t)
 
-    zero = hits[0] if f == 0 else np.zeros(size, dtype=bool)
-    m = np.ones(size, dtype=np.int64)
+    zero = hits[0] if f == 0 else np.zeros(1 << t, dtype=bool)
+    m = np.ones(1 << t, dtype=np.int64)
     for (p, q), hit in zip(powers, hits[len(qs) - len(powers) :]):
         if n % q == 0:
             m[hit] *= p
@@ -242,7 +243,7 @@ def _fold_moduli(
                 f"a modulus divisible by {q} does not divide the group order {n}"
             )
     m[zero] = 0
-    lowest = np.arange(size) if masks is None else np.array(masks, dtype=np.int64)
+    lowest = np.arange(1 << t)
     return m, D[lowest & -lowest]
 
 
@@ -257,74 +258,67 @@ def _candidate_primes(f: int, D: np.ndarray) -> list[int]:
     odd and p not dividing c then force D = c exactly on the odd classes,
     where m(a) = 0."""
     if f:
-        return _prime_factors(f)
+        return list(_factorize(f))
     nonzero = D[D != 0]
     if nonzero.size == 0:
         return []
     c = int(nonzero[0])
     others = nonzero[nonzero != c]
     values = [c] if others.size == 0 else [c, int(others[0]), int(others[0]) - c]
-    return sorted({p for v in values for p in _prime_factors(abs(v))})
+    return sorted({p for v in values for p in _factorize(abs(v))})
 
 
-def _divisible(residues: np.ndarray, t: int, masks: Optional[list[int]]) -> np.ndarray:
+def _divisible(residues: np.ndarray, t: int) -> np.ndarray:
     """hits[k, a] = (the count of _fold_moduli is 0) for each row k of
-    residues = D mod q_k, at each mask of `masks`, or at every mask.
+    residues = D mod q_k, at every mask a (entry 0 unused).
 
     A mask with lowest set bit 2^i is b * 2^(i+1) + 2^i, and its character
     sign at class x is (-1)^(bit i of x) * (-1)^(popcount of b & (x >>
     (i + 1))).  So W(R) at every such mask is one transform of length
     2^(t-1-i) of R summed over the low bits with sign (-1)^(bit i): all t
-    of them cost one full transform.  A listed mask is one signed sum."""
+    of them cost one full transform."""
     rows = residues.shape[0]
     A = residues != 0
     base = A.sum(axis=1)
     A = A.astype(np.int64)
-    if masks is None:
-        out = np.zeros((rows, 1 << t), dtype=bool)
-        for i in range(t):
-            C = residues != residues[:, 1 << i, None]
-            halves = (A - C).reshape(rows, -1, 2, 1 << i).sum(axis=3)
-            W = hadamard_transform(halves[:, :, 0] - halves[:, :, 1])
-            out[:, 1 << i :: 2 << i] = (base + C.sum(axis=1))[:, None] + W == 0
-        return out
-    # parity[x] = popcount(x) mod 2
-    parity = np.zeros(1 << t, dtype=np.int64)
+    out = np.zeros((rows, 1 << t), dtype=bool)
     for i in range(t):
-        parity[1 << i : 2 << i] = 1 - parity[: 1 << i]
-    x = np.arange(1 << t)
-    out = np.empty((rows, len(masks)), dtype=bool)
-    for k, mask in enumerate(masks):
-        C = residues != residues[:, mask & -mask, None]
-        out[:, k] = base + C.sum(axis=1) + (A - C) @ (1 - 2 * parity[x & mask]) == 0
+        C = residues != residues[:, 1 << i, None]
+        halves = (A - C).reshape(rows, -1, 2, 1 << i).sum(axis=3)
+        W = hadamard_transform(halves[:, :, 0] - halves[:, :, 1])
+        out[:, 1 << i :: 2 << i] = (base + C.sum(axis=1))[:, None] + W == 0
     return out
+
+
+def _step(delta: int, modulus: int) -> int:
+    """The s with k * delta mod modulus in {0, modulus / 2} exactly when s
+    divides k: q / gcd(q, 2) for q = modulus / gcd(delta, modulus).  The
+    steps that occur are the s with 2s | modulus, or with s odd and
+    s | modulus."""
+    q = modulus // math.gcd(delta, modulus)
+    return q // math.gcd(q, 2)
 
 
 def valid_k(delta: int, modulus: int) -> tuple[int, ...]:
     """Every k in [1, modulus] at which a phase gap of k * delta (mod
-    modulus) is neither 0 nor modulus / 2, i.e. gives FR proper."""
-    delta %= modulus
-    half = modulus // 2 if modulus % 2 == 0 else None
-    return tuple(
-        k for k in range(1, modulus + 1) if (k * delta) % modulus not in {0, half}
-    )
+    modulus) is neither 0 nor modulus / 2, i.e. gives FR proper: the k
+    that the step of delta does not divide."""
+    s = _step(delta, modulus)
+    return tuple(k for k in range(1, modulus + 1) if k % s)
 
 
-def _is_valid_k(given: tuple[int, ...], delta: int, modulus: int) -> bool:
-    """given == valid_k(delta, modulus), decided in O(len(given)): a strictly
-    increasing list in [1, modulus] that avoids both excluded progressions
-    and has the size of their complement."""
-    delta %= modulus
-    half = modulus // 2 if modulus % 2 == 0 else None
-    g = math.gcd(delta, modulus)
-    # g values of k give k * delta = 0, and g more give modulus / 2 when g
-    # divides it
-    size = modulus - g - (g if half is not None and half % g == 0 else 0)
-    if len(given) != size:
+def _is_valid_k(given: tuple[int, ...], s: int, modulus: int) -> bool:
+    """given == valid_k(delta, modulus) for each delta of step s, decided in
+    O(len(given)): s is a step of modulus, and given is a strictly
+    increasing list in [1, modulus] that avoids the multiples of s and has
+    the size of their complement."""
+    if not (modulus % (2 * s) == 0 or s % 2 == 1 and modulus % s == 0):
+        return False
+    if len(given) != modulus - modulus // s:
         return False
     previous = 0
     for k in given:
-        if not previous < k <= modulus or (k * delta) % modulus in (0, half):
+        if not previous < k <= modulus or k % s == 0:
             return False
         previous = k
     return True
@@ -388,8 +382,9 @@ class FRWitness:
     @classmethod
     def from_json(cls, data: object) -> "FRWitness":
         """Read a certificate, then check each derived field it carries
-        (kind, time, alpha, beta, and valid_k when k is invertible mod the
-        modulus) against its recomputation from k, modulus, rho0 and rho1."""
+        (kind, time, alpha, beta and valid_k) against its recomputation
+        from k, modulus, rho0 and rho1.  When k is not invertible mod the
+        modulus, valid_k is checked to be a valid set of some step only."""
         doc = _json_object(data, "witness document", ("a", "k", "modulus", "rho0", "rho1"))
         a = tuple(_json_int_list(doc["a"], "a"))
         k = _json_int(doc["k"], "k")
@@ -407,19 +402,21 @@ class FRWitness:
             # k is invertible, so delta mod modulus can be recovered from the
             # phase-exponent gap and the valid set checked or recomputed.
             delta = (rho0 - rho1) * pow(k, -1, modulus)
-            if given is None:
-                valid = valid_k(delta, modulus)
-            elif _is_valid_k(given, delta, modulus):
-                valid = given
-            else:
-                raise _mismatch("valid_k")
+            s = _step(delta, modulus)
         elif given is None:
             raise SpecFormatError(
                 "witness document omits valid_k and it cannot be recovered"
             )
         else:
-            valid = given
-        witness = cls(a, k, modulus, rho0 % modulus, rho1 % modulus, valid)
+            # delta is ambiguous, but a valid set is fixed by its step, the
+            # least k it leaves out; whether that step fits k * delta =
+            # rho0 - rho1 is not checked.
+            s = next((i for i, v in enumerate(given, 1) if v != i), len(given) + 1)
+        if given is None:
+            given = valid_k(delta, modulus)
+        elif not _is_valid_k(given, s, modulus):
+            raise _mismatch("valid_k")
+        witness = cls(a, k, modulus, rho0 % modulus, rho1 % modulus, given)
         if "kind" in doc and _json_str(doc["kind"], "kind") != witness.kind.value:
             raise _mismatch("kind")
         if "time" in doc and not _close(_json_number(doc["time"], "time"), witness.time):
@@ -509,8 +506,7 @@ def search_all(graph: CayleyGraph) -> list[tuple[Element, FRWitness]]:
     if not involutions or graph.unit_orbits is None:
         return []
     spec = spectrum(graph)
-    t, D, F = _fold(spec)
-    m, delta = _fold_moduli(G.n, t, D, F, None)
+    m, delta = _fold_moduli(G.n, *_fold(spec))
     # few distinct (m, delta) pairs: each one's fields are computed once
     fields = cache(partial(_witness_fields, spec.degree))
     out: list[tuple[Element, FRWitness]] = []

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
+from .cyclotomic import _factorize
 from .errors import InvalidGroupError
 
 Element = tuple[int, ...]
@@ -30,22 +31,6 @@ def units_mod(e: int) -> list[int]:
 # hold one value per group element, so a larger order is refused up front
 # instead of running unbounded.
 MAX_GROUP_ORDER = 1 << 20
-
-
-def _prime_factors(m: int) -> list[int]:
-    """Distinct prime factors of m >= 1 in increasing order, by trial
-    division (factor orders are at most MAX_GROUP_ORDER)."""
-    out = []
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            out.append(f)
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        out.append(m)
-    return out
 
 
 def _has_full_rank_mod(rows: Iterable[Sequence[int]], cols: Sequence[int], p: int) -> bool:
@@ -189,7 +174,7 @@ class FiniteAbelianGroup:
     @cached_property
     def _frattini_columns(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         # each prime p | n with the factors i such that p | m_i
-        primes = sorted({p for m in self.orders for p in _prime_factors(m)})
+        primes = sorted({p for m in self.orders for p in _factorize(m)})
         return tuple(
             (p, tuple(i for i, m in enumerate(self.orders) if m % p == 0)) for p in primes
         )

@@ -776,6 +776,19 @@ class TestForgedValidK:
         assert elapsed < 0.5
         assert peak < 16 * 2**20
 
+    def test_non_invertible_k_is_checked_against_every_valid_set(self, capsys, tmp_path):
+        # gcd(k, modulus) = 3 leaves delta ambiguous, but no delta gives this list
+        graph = write_json(tmp_path, "g.json", graph_doc([2, 9], UNITS_SET))
+        cert = write_json(
+            tmp_path,
+            "cert.json",
+            {"a": [1, 0], "k": 3, "modulus": 3, "rho0": 0, "rho1": 0, "valid_k": [0, -5, 7, 7]},
+        )
+        code, out, err = run(capsys, ["verify", graph, cert])
+        assert code == 2
+        assert out == ""
+        assert "valid_k" in err
+
 
 @pytest.mark.parametrize("orders", [[2, 1024], [2, 20000]])
 def test_verify_above_the_dense_cap_is_exit_three_at_once(capsys, tmp_path, orders):

@@ -318,8 +318,9 @@ class TestIntegralityFirst:
 class TestInvolutionModuli:
     """The fold onto G/2G gives, for every involution, the m, reference and
     delta of the per-involution reference compute_moduli(spec,
-    split_by_involution), both from the transform over every involution and
-    one column at a time."""
+    split_by_involution), both from three gcds per involution
+    (involution_moduli) and from the divisibility counts over every
+    involution at once (_fold_moduli)."""
 
     @staticmethod
     def reference(spec, involutions):
@@ -327,8 +328,14 @@ class TestInvolutionModuli:
         return [(mod.m, mod.reference, mod.delta) for mod in mods]
 
     @staticmethod
-    def one_at_a_time(spec, involutions):
-        return [involution_moduli(spec, [a])[0] for a in involutions]
+    def counts(spec):
+        # masks 1 .. 2^t - 1 run in group.involutions() order
+        m, delta = engine._fold_moduli(spec.group.n, *engine._fold(spec))
+        return list(zip(m[1:].tolist(), delta[1:].tolist()))
+
+    @staticmethod
+    def m_and_delta(expected):
+        return [(m, delta) for m, _, delta in expected]
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -351,7 +358,7 @@ class TestInvolutionModuli:
             spec = Spectrum(group, graph.degree, lam)
             expected = self.reference(spec, invs)
             assert involution_moduli(spec, invs) == expected, orders
-            assert self.one_at_a_time(spec, invs) == expected, orders
+            assert self.counts(spec) == self.m_and_delta(expected), orders
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -374,9 +381,11 @@ class TestInvolutionModuli:
             assert "does not divide" in str(exc)
             with pytest.raises(ArithmeticError, match="does not divide"):
                 involution_moduli(spec, invs)
+            with pytest.raises(ArithmeticError, match="does not divide"):
+                self.counts(spec)
         else:
             assert involution_moduli(spec, invs) == expected, (orders, lam)
-            assert self.one_at_a_time(spec, invs) == expected, (orders, lam)
+            assert self.counts(spec) == self.m_and_delta(expected), (orders, lam)
 
     def test_random_cube_of_dimension_13_within_two_seconds(self):
         # 8191 involutions, decided by divisibility counts rather than one
@@ -397,7 +406,7 @@ class TestInvolutionModuli:
             spec = spectrum(graph)
             expected = self.reference(spec, invs)
             assert involution_moduli(spec, invs) == expected, name
-            assert self.one_at_a_time(spec, invs) == expected, name
+            assert self.counts(spec) == self.m_and_delta(expected), name
 
     def test_decisions_use_neither_split_nor_pairing(self, corpus, monkeypatch):
         expected = [
@@ -439,6 +448,7 @@ INVARIANTS = {
     "modulus": "does not divide",
     "fold_modulus": "does not divide",
     "fold_modulus_cube": "does not divide",
+    "fold_counts_cube": "does not divide",
     "k1": "k = 1 is not",
 }
 
@@ -455,11 +465,16 @@ def violate(case: str) -> None:
         if case in patches:
             mp.setattr(*patches[case])
         group = make_group([4])
-        if case == "fold_modulus_cube":
+        if case in ("fold_modulus_cube", "fold_counts_cube"):
             # On (Z2)^2 with a = (1, 0): m0 = gcd(0, 5 - 2) = 3 and m1 = 0.
-            # No class spread is nonzero, so 3 is found from the fold alone.
+            # No class spread is nonzero, so 3 is found from the fold alone,
+            # by the gcds for one involution or by the counts for all three.
             cube = make_group([2, 2])
-            involution_moduli(Spectrum(cube, 5, np.array([5, 2, 2, 2])), [(1, 0)])
+            spec = Spectrum(cube, 5, np.array([5, 2, 2, 2]))
+            if case == "fold_modulus_cube":
+                involution_moduli(spec, [(1, 0)])
+            else:
+                engine._fold_moduli(cube.n, *engine._fold(spec))
         elif case in ("sign", "half"):
             split_by_involution(group, (2,))
         elif case in ("modulus", "fold_modulus"):
@@ -528,6 +543,36 @@ class TestWitnessJson:
         doc = {"a": [1], "k": 1, "modulus": modulus, "rho0": delta, "rho1": 0, "valid_k": given_k}
         if given_k == true:
             assert FRWitness.from_json(doc).valid_k == tuple(true)
+        else:
+            with pytest.raises(SpecFormatError, match="valid_k"):
+                FRWitness.from_json(doc)
+
+    @settings(max_examples=200)
+    @given(st.integers(min_value=2, max_value=120), st.data())
+    def test_given_valid_k_is_a_valid_set_when_k_is_not_invertible(self, modulus, data):
+        # delta is ambiguous, so any list that some delta gives is accepted,
+        # and no other.
+        half = modulus / 2
+        sets = {
+            tuple(k for k in range(1, modulus + 1) if (k * d) % modulus not in (0, half))
+            for d in range(modulus)
+        }
+        g = data.draw(st.sampled_from([g for g in range(2, modulus + 1) if modulus % g == 0]))
+        k = g * data.draw(st.integers(min_value=1, max_value=modulus // g))
+        given_k = list(data.draw(st.sampled_from(sorted(sets))))
+        edit = data.draw(st.sampled_from(["keep", "drop", "add", "replace"]))
+        if edit == "drop" and given_k:
+            given_k.pop(data.draw(st.integers(0, len(given_k) - 1)))
+        elif edit == "add":
+            given_k.insert(
+                data.draw(st.integers(0, len(given_k))),
+                data.draw(st.integers(min_value=-1, max_value=modulus + 1)),
+            )
+        elif edit == "replace":
+            given_k = data.draw(st.lists(st.integers(min_value=-1, max_value=modulus + 1)))
+        doc = {"a": [1], "k": k, "modulus": modulus, "rho0": 0, "rho1": 0, "valid_k": given_k}
+        if tuple(given_k) in sets:
+            assert FRWitness.from_json(doc).valid_k == tuple(given_k)
         else:
             with pytest.raises(SpecFormatError, match="valid_k"):
                 FRWitness.from_json(doc)

@@ -1,22 +1,36 @@
-"""Smoke tests of the scale probe script."""
+"""Smoke tests of the scripts: the scale probes, the example reproduction
+and the family sweep."""
 
 from __future__ import annotations
 
 import importlib.util
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "probe_scale.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # registered first, as dataclasses look their module up while decorating
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def probe():
-    spec = importlib.util.spec_from_file_location("probe_scale", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("probe_scale")
+
+
+@pytest.mark.parametrize("name", ["reproduce_examples", "family_sweep"])
+def test_script_runs_every_example_and_verifies(name, capsys):
+    assert load(name).main([]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_connectivity_probe_runs_within_a_second(probe):
@@ -47,6 +61,9 @@ def test_cube_probe_decides_every_involution_from_counts(probe):
     assert report["n"] == 2**14 and report["degree"] == 300
     assert report["involutions"] == report["certificates"] == 16383
     assert 0 <= report["search_all_cpu_s"] < 2.0
+    # one involution, with class mask 1, from three gcds on the fold
+    assert report["decide_kind"] == "PERIODIC"
+    assert 0 <= report["decide_fr_cpu_s"] < 0.1
     # and the whole `fr search -o`, which renders each distinct body once
     assert report["search_exit_code"] == 1
     assert report["search_output_certificates"] == 16383
