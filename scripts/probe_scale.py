@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the scale probes beyond the benchmark ladder and print them as JSON.
 
-Five probes, each one run in this process, timed in CPU seconds:
+Six probes, each one run in this process, timed in CPU seconds:
 
 - connectivity: make_graph on Z2 x Z4 x Z1250 (n = 10^4) with the
   unit-closed set {(a, b, u) : u a unit mod 1250} (|S| = 4000);
@@ -17,7 +17,11 @@ Five probes, each one run in this process, timed in CPU seconds:
   run in process, with the size of the document it writes;
 - spectrum: `fr spectrum` on the non-integral Z2 x Z20000 graph with
   S = {(0, 1), (0, -1), (1, 0)} (n = 40000), run in process twice: once
-  timed, once under tracemalloc for its peak.
+  timed, once under tracemalloc for its peak;
+- oracle: `fr construct --verify` on the family-D spec over (Z2)^8
+  (n = 256, the dense oracle's cap) whose slices are both the support of
+  the inner-product bent function on F_2^6 lifted to F_2^7, then `fr verify`
+  on the graph and certificate it emits, both run in process.
 
 Usage:
     python3 scripts/probe_scale.py
@@ -26,6 +30,7 @@ Usage:
 from __future__ import annotations
 
 import json
+import math
 import random
 import sys
 import tempfile
@@ -146,6 +151,37 @@ def probe_spectrum() -> dict:
     }
 
 
+def probe_oracle() -> dict:
+    supp = fr.support(fr.mm_bent(6))
+    lifted = sorted([[0, *s] for s in supp] + [[1, *s] for s in supp])
+    doc = {"variant": "CUBLIKE_D", "S0": lifted, "S1": lifted}
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "family.json"
+        built = Path(tmp) / "built.json"
+        graph = Path(tmp) / "graph.json"
+        cert = Path(tmp) / "cert.json"
+        report = Path(tmp) / "report.json"
+        spec.write_text(json.dumps(doc), encoding="utf-8")
+        start = time.process_time()
+        construct_code = fr_main(["construct", str(spec), "--verify", "-o", str(built)])
+        construct_cpu = time.process_time() - start
+        result = json.loads(built.read_text(encoding="utf-8"))
+        graph.write_text(json.dumps(result["graph"]), encoding="utf-8")
+        cert.write_text(json.dumps(result["prediction"]), encoding="utf-8")
+        start = time.process_time()
+        verify_code = fr_main(["verify", str(graph), str(cert), "-o", str(report)])
+        verify_cpu = time.process_time() - start
+        verified = json.loads(report.read_text(encoding="utf-8"))
+    return {
+        "n": math.prod(result["graph"]["group"]),
+        "exit_codes": [construct_code, verify_code],
+        "construct_pass": result["verification"]["pass"],
+        "verify_pass": verified["pass"],
+        "construct_verify_cpu_s": construct_cpu,
+        "verify_cpu_s": verify_cpu,
+    }
+
+
 def main() -> int:
     report = {
         "connectivity": probe_connectivity(),
@@ -154,6 +190,7 @@ def main() -> int:
         "cube_14": probe_cube(14),
         "cube_16": probe_cube(16),
         "spectrum": probe_spectrum(),
+        "oracle": probe_oracle(),
     }
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0

@@ -384,7 +384,10 @@ class FRWitness:
         """Read a certificate, then check each derived field it carries
         (kind, time, alpha, beta and valid_k) against its recomputation
         from k, modulus, rho0 and rho1.  When k is not invertible mod the
-        modulus, valid_k is checked to be a valid set of some step only."""
+        modulus, valid_k is checked to be the valid set of some step s, with
+        two necessary conditions for a delta of that step to give the phase
+        gap: gcd(k, modulus) divides rho0 - rho1, and s fails to divide k
+        exactly when the kind is FR."""
         doc = _json_object(data, "witness document", ("a", "k", "modulus", "rho0", "rho1"))
         a = tuple(_json_int_list(doc["a"], "a"))
         k = _json_int(doc["k"], "k")
@@ -398,7 +401,8 @@ class FRWitness:
         given = None
         if doc.get("valid_k") is not None:
             given = tuple(_json_int_list(doc["valid_k"], "valid_k"))
-        if math.gcd(k, modulus) == 1:
+        g = math.gcd(k, modulus)
+        if g == 1:
             # k is invertible, so delta mod modulus can be recovered from the
             # phase-exponent gap and the valid set checked or recomputed.
             delta = (rho0 - rho1) * pow(k, -1, modulus)
@@ -409,14 +413,24 @@ class FRWitness:
             )
         else:
             # delta is ambiguous, but a valid set is fixed by its step, the
-            # least k it leaves out; whether that step fits k * delta =
-            # rho0 - rho1 is not checked.
+            # least k it leaves out.
             s = next((i for i, v in enumerate(given, 1) if v != i), len(given) + 1)
         if given is None:
             given = valid_k(delta, modulus)
         elif not _is_valid_k(given, s, modulus):
             raise _mismatch("valid_k")
         witness = cls(a, k, modulus, rho0 % modulus, rho1 % modulus, given)
+        if g > 1:
+            # Some delta of step s must give the gap: k * delta = rho0 - rho1
+            # (mod modulus) needs gcd(k, modulus) | rho0 - rho1, and the gap
+            # is FR proper exactly when s does not divide k.
+            if (rho0 - rho1) % g:
+                raise SpecFormatError(
+                    f"certificate fields 'rho0' and 'rho1' differ by no multiple of "
+                    f"gcd(k, modulus) = {g}, so no phase gap k * delta gives them"
+                )
+            if (k % s != 0) != (witness.kind is WitnessKind.FR):
+                raise _mismatch("valid_k")
         if "kind" in doc and _json_str(doc["kind"], "kind") != witness.kind.value:
             raise _mismatch("kind")
         if "time" in doc and not _close(_json_number(doc["time"], "time"), witness.time):

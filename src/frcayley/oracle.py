@@ -29,20 +29,21 @@ def _require_dense(group: FiniteAbelianGroup) -> None:
         )
 
 
-def _coordinate_array(group: FiniteAbelianGroup) -> np.ndarray:
-    return np.array(list(group.elements()), dtype=np.int64)
-
-
 def character_table(group: FiniteAbelianGroup) -> np.ndarray:
-    """Dense table X[i, j] = chi_{g_i}(g_j) in element-rank order."""
+    """Dense table X[i, j] = chi_{g_i}(g_j) in element-rank order.
+
+    The exponent table is the Kronecker sum of one m x m block per cyclic
+    factor, block[c, c'] = (exponent / m) * (c c' mod m), reduced mod the
+    exponent; each entry then reads its root of unity from one table."""
     e = group.exponent
-    coords = _coordinate_array(group)
-    expo = np.zeros((group.n, group.n), dtype=np.int64)
-    for f, m in enumerate(group.orders):
-        w = e // m
-        col = coords[:, f]
-        expo = (expo + w * ((col[:, None] * col[None, :]) % m)) % e
-    return np.exp(2j * np.pi * expo / e)
+    expo = np.zeros((1, 1), dtype=np.int64)
+    for m in group.orders:
+        c = np.arange(m, dtype=np.int64)
+        block = (e // m) * (np.outer(c, c) % m)
+        k = expo.shape[0]
+        expo = ((expo[:, None, :, None] + block[None, :, None, :]) % e).reshape(k * m, k * m)
+    roots = np.exp(2j * np.pi * np.arange(e) / e)
+    return roots[expo]
 
 
 def eigenvalue_array(graph: CayleyGraph, table: Optional[np.ndarray] = None) -> np.ndarray:
@@ -59,14 +60,16 @@ def eigenvalue_array(graph: CayleyGraph, table: Optional[np.ndarray] = None) -> 
 
 def difference_rank_table(group: FiniteAbelianGroup) -> np.ndarray:
     """D[i, j] = rank(g_i - g_j), so any function of differences can be
-    broadcast from its value on row zero."""
-    coords = _coordinate_array(group)
-    orders = np.array(group.orders, dtype=np.int64)
-    weights = np.ones(len(group.orders), dtype=np.int64)
-    for f in range(len(group.orders) - 2, -1, -1):
-        weights[f] = weights[f + 1] * group.orders[f + 1]
-    diff = (coords[:, None, :] - coords[None, :, :]) % orders
-    return diff @ weights
+    broadcast from its value on row zero.  Built factor by factor: the
+    ranks are mixed-radix, so each factor appends its own digit
+    (c - c') mod m to both indices."""
+    D = np.zeros((1, 1), dtype=np.int64)
+    for m in group.orders:
+        c = np.arange(m, dtype=np.int64)
+        digit = (c[:, None] - c[None, :]) % m
+        k = D.shape[0]
+        D = (D[:, None, :, None] * m + digit[None, :, None, :]).reshape(k * m, k * m)
+    return D
 
 
 @dataclass(frozen=True)
@@ -154,21 +157,24 @@ def verify_fr(
     """Check H(t) = alpha*I + beta*Q entrywise at the witness time, where Q
     is the translation permutation by the witness element.
 
-    Also checks structurally (in exact integers) that Q is a symmetric
-    fixed-point-free involution, and numerically that H(t) is unitary.
+    Also checks structurally (in exact integers, on the rank permutation
+    that Q represents) that Q is a symmetric fixed-point-free involution,
+    and numerically that H(t) is unitary.
     The order cap is checked before any n x n array is built."""
     G = graph.group
     _require_dense(G)
     a = G.require_element(witness.a)
     n = G.n
+    # image[i] = rank(g_i + a), one mixed-radix digit per factor
+    image = np.zeros(1, dtype=np.int64)
+    for m, c in zip(G.orders, a):
+        image = (image[:, None] * m + (np.arange(m, dtype=np.int64) + c) % m).reshape(-1)
+    ranks = np.arange(n)
     Q = np.zeros((n, n), dtype=np.int64)
-    for i, g in enumerate(G.elements()):
-        Q[i, G.rank(G.add(g, a))] = 1
-    permutation_ok = (
-        bool(np.array_equal(Q, Q.T))
-        and bool(np.array_equal(Q @ Q, np.eye(n, dtype=np.int64)))
-        and int(np.trace(Q)) == 0
-    )
+    Q[ranks, image] = 1
+    # Q is a permutation matrix, so Q = Q^T and Q^2 = I both say that image
+    # is an involution, and trace(Q) = 0 that it has no fixed point.
+    permutation_ok = np.array_equal(image[image], ranks) and not np.any(image == ranks)
     H = transfer_matrix(graph, witness.time)
     target = witness.alpha * np.eye(n) + witness.beta * Q
     max_dev = float(np.max(np.abs(H.entries - target)))

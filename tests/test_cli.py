@@ -284,8 +284,8 @@ class TestVerifyCommand:
     def test_perturbed_certificate_fails(self, capsys, tmp_path, units_graph):
         w = decide_fr(units_graph, (1, 0))
         doc = w.to_json()
-        doc["k"] = 3  # valid_k is retained, so the document parses
-        doc["time"] = 2 * math.pi  # kept consistent with k, so only H(t) can fail
+        doc["k"] = 2  # invertible mod 3 and valid_k is retained, so the document parses
+        doc["time"] = 4 * math.pi / 3  # kept consistent with k, so only H(t) can fail
         spec = write_json(tmp_path, "g.json", graph_to_json(units_graph))
         cert = write_json(tmp_path, "w.json", doc)
         code, out, _ = run(capsys, ["verify", spec, cert])
@@ -788,6 +788,19 @@ class TestForgedValidK:
         assert code == 2
         assert out == ""
         assert "valid_k" in err
+
+    def test_phase_gap_no_delta_gives_is_exit_two(self, capsys, tmp_path):
+        # 2 * delta = 1 (mod 4) has no solution; the dense check would only fail
+        graph = write_json(tmp_path, "g.json", graph_doc([2, 9], UNITS_SET))
+        cert = write_json(
+            tmp_path,
+            "cert.json",
+            {"a": [1, 0], "k": 2, "modulus": 4, "rho0": 1, "rho1": 0, "valid_k": []},
+        )
+        code, out, err = run(capsys, ["verify", graph, cert])
+        assert code == 2
+        assert out == ""
+        assert "'rho0'" in err
 
 
 @pytest.mark.parametrize("orders", [[2, 1024], [2, 20000]])

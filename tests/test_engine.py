@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 import random
 import subprocess
@@ -550,8 +551,9 @@ class TestWitnessJson:
     @settings(max_examples=200)
     @given(st.integers(min_value=2, max_value=120), st.data())
     def test_given_valid_k_is_a_valid_set_when_k_is_not_invertible(self, modulus, data):
-        # delta is ambiguous, so any list that some delta gives is accepted,
-        # and no other.
+        # delta is ambiguous, so a list that some delta gives is accepted
+        # when it holds k exactly if the phase gap at k is FR proper, and no
+        # other list is.
         half = modulus / 2
         sets = {
             tuple(k for k in range(1, modulus + 1) if (k * d) % modulus not in (0, half))
@@ -559,6 +561,7 @@ class TestWitnessJson:
         }
         g = data.draw(st.sampled_from([g for g in range(2, modulus + 1) if modulus % g == 0]))
         k = g * data.draw(st.integers(min_value=1, max_value=modulus // g))
+        gap = k * data.draw(st.integers(min_value=0, max_value=modulus - 1)) % modulus
         given_k = list(data.draw(st.sampled_from(sorted(sets))))
         edit = data.draw(st.sampled_from(["keep", "drop", "add", "replace"]))
         if edit == "drop" and given_k:
@@ -570,8 +573,8 @@ class TestWitnessJson:
             )
         elif edit == "replace":
             given_k = data.draw(st.lists(st.integers(min_value=-1, max_value=modulus + 1)))
-        doc = {"a": [1], "k": k, "modulus": modulus, "rho0": 0, "rho1": 0, "valid_k": given_k}
-        if tuple(given_k) in sets:
+        doc = {"a": [1], "k": k, "modulus": modulus, "rho0": gap, "rho1": 0, "valid_k": given_k}
+        if tuple(given_k) in sets and (k in given_k) == (gap not in (0, half)):
             assert FRWitness.from_json(doc).valid_k == tuple(given_k)
         else:
             with pytest.raises(SpecFormatError, match="valid_k"):
@@ -583,6 +586,36 @@ class TestWitnessJson:
                 doc = w.to_json()
                 back = FRWitness.from_json(doc)
                 assert back == w, name
+
+    def test_roundtrip_at_every_multiple_of_the_time(self, corpus):
+        # The canonical certificates all have k = 1 here; at time 2*pi*k/M
+        # the same walk has phases k * rho, and gcd(k, M) > 1 leaves delta
+        # ambiguous, so these exercise the checks of that branch.
+        moved = 0
+        for name, graph in corpus:
+            for a, w in search_all(graph):
+                assert w.k == 1, name
+                for k in range(2, w.modulus + 1):
+                    at_k = dataclasses.replace(
+                        w, k=k, rho0=k * w.rho0 % w.modulus, rho1=k * w.rho1 % w.modulus
+                    )
+                    assert FRWitness.from_json(at_k.to_json()) == at_k, name
+                    assert (k in w.valid_k) == (at_k.kind is WitnessKind.FR), name
+                    moved += math.gcd(k, w.modulus) > 1
+        assert moved > 100
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            # 2 * delta = 1 (mod 4) has no solution
+            ({"a": [1, 0], "k": 2, "modulus": 4, "rho0": 1, "rho1": 0, "valid_k": []}, "rho0"),
+            # the gap 2 mod 8 is FR proper at k = 2, but step 2 divides k
+            ({"a": [1, 0], "k": 2, "modulus": 8, "rho0": 2, "rho1": 0, "valid_k": [1, 3, 5, 7]}, "valid_k"),
+        ],
+    )
+    def test_phase_gap_must_fit_k_when_k_is_not_invertible(self, doc, field):
+        with pytest.raises(SpecFormatError, match=field):
+            FRWitness.from_json(doc)
 
     def test_document_shape(self, units_graph):
         doc = decide_fr(units_graph, (1, 0)).to_json()

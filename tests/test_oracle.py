@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from frcayley import (
     OracleDimensionError,
     WitnessKind,
     adjacency_matrix,
+    build_cublike_family,
     character_table,
     decide_fr,
     dense_expm_check,
@@ -28,6 +31,8 @@ from frcayley import (
     transfer_matrix,
     verify_fr,
 )
+from frcayley.boolfn import mm_bent, support
+from frcayley.oracle import difference_rank_table
 from helpers import graph_from_set, quiet_graph, random_symmetric_set
 
 
@@ -53,6 +58,39 @@ class TestCharacterTable:
                 expo = g.character_exponent(elems[i], elems[j])
                 expected = cmath.exp(2j * cmath.pi * expo / g.exponent)
                 assert abs(x[i, j] - expected) < 1e-12
+
+
+@st.composite
+def dense_orders(draw):
+    """Up to four cyclic factors with product at most 256."""
+    orders, budget = [], 256
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        if budget < 2:
+            break
+        orders.append(draw(st.integers(min_value=2, max_value=budget)))
+        budget //= orders[-1]
+    return orders
+
+
+def assert_tables_match_elementwise(orders):
+    # The factor-by-factor tables equal, bit for bit, the per-element ones.
+    G = make_group(orders)
+    elems = list(G.elements())
+    expo = np.array([[G.character_exponent(g, h) for h in elems] for g in elems], dtype=np.int64)
+    assert np.array_equal(character_table(G), np.exp(2j * np.pi * expo / G.exponent))
+    ranks = [[G.rank(G.add(g, G.neg(h))) for h in elems] for g in elems]
+    assert np.array_equal(difference_rank_table(G), np.array(ranks, dtype=np.int64))
+
+
+class TestDenseTables:
+    @pytest.mark.parametrize("orders", [[2] * 8, [256], [2, 4, 25]])
+    def test_named_groups(self, orders):
+        assert_tables_match_elementwise(orders)
+
+    @settings(max_examples=30, deadline=None)
+    @given(dense_orders())
+    def test_random_groups(self, orders):
+        assert_tables_match_elementwise(orders)
 
 
 class TestEigenvalueArray:
@@ -179,8 +217,6 @@ class TestVerifyFr:
         assert verify_fr(bent4_graph, w).passed
 
     def test_perturbed_phase_fails(self, units_graph):
-        import dataclasses
-
         w = decide_fr(units_graph, (1, 0))
         bad = dataclasses.replace(w, k=3)
         report = verify_fr(units_graph, bad)
@@ -188,20 +224,38 @@ class TestVerifyFr:
         assert report.max_deviation > 0.1
 
     def test_tampered_rho_fails(self, units_graph):
-        import dataclasses
-
         w = decide_fr(units_graph, (1, 0))
         bad = dataclasses.replace(w, rho0=(w.rho0 + 1) % w.modulus)
         assert not verify_fr(units_graph, bad).passed
 
     def test_wrong_target_fails_permutation_check(self, units_graph):
-        import dataclasses
-
         w = decide_fr(units_graph, (1, 0))
         bad = dataclasses.replace(w, a=(0, 3))
         report = verify_fr(units_graph, bad)
         assert not report.permutation_ok
         assert not report.passed
+
+    def test_zero_target_fixes_every_vertex(self, units_graph):
+        w = decide_fr(units_graph, (1, 0))
+        report = verify_fr(units_graph, dataclasses.replace(w, a=(0, 0)))
+        assert not report.permutation_ok
+        assert not report.passed
+
+    def test_memory_on_256_vertices(self):
+        # (Z2)^8, family D on the lifted support of a bent function on F_2^6
+        supp = support(mm_bent(6))
+        lifted = sorted([(0, *s) for s in supp] + [(1, *s) for s in supp])
+        built = build_cublike_family(lifted, lifted)
+        assert built.graph.n == 256
+        verify_fr(built.graph, built.prediction)
+        tracemalloc.start()
+        try:
+            report = verify_fr(built.graph, built.prediction)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 7 * 2**20
 
     def test_report_document(self, units_graph):
         w = decide_fr(units_graph, (1, 0))

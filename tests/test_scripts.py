@@ -78,3 +78,13 @@ def test_spectrum_probe_is_bounded(probe):
     assert report["exit_codes"] == [0, 0]
     assert 0 <= report["spectrum_cpu_s"] < 10.0
     assert report["tracemalloc_peak_mib"] < 64
+
+
+def test_oracle_probe_verifies_at_the_dense_cap(probe):
+    # construct --verify, then verify, on a family-D graph of order 256
+    report = probe.probe_oracle()
+    assert report["n"] == 256
+    assert report["exit_codes"] == [0, 0]
+    assert report["construct_pass"] is True and report["verify_pass"] is True
+    assert 0 <= report["construct_verify_cpu_s"] < 1.0
+    assert 0 <= report["verify_cpu_s"] < 1.0
