@@ -90,7 +90,11 @@ class CayleyGraph:
 
         By Bridges-Mena (1982) the graph is integral exactly when this is
         not None; each orbit then adds the Ramanujan sum c_d to the
-        spectrum."""
+        spectrum.
+
+        When d is 1, 2, 3, 4 or 6, phi(d) <= 2 and the units of Z_d are +-1,
+        so the orbit is {s, -s}, already in the set by
+        validate_connection_set: it is recorded without a walk."""
         G = self.group
         members = set(self.connection.elements)
         seen: set[Element] = set()
@@ -98,11 +102,16 @@ class CayleyGraph:
         for s in self.connection:
             if s in seen:
                 continue
-            for _, t in G.unit_multiples(s):
-                if t not in members:
-                    return None
-                seen.add(t)
-            reps.append((s, G.element_order(s)))
+            d = G.element_order(s)
+            if d in (1, 2, 3, 4, 6):
+                if d > 2:
+                    seen.add(G.neg(s))
+            else:
+                for _, t in G.unit_multiples(s):
+                    if t not in members:
+                        return None
+                    seen.add(t)
+            reps.append((s, d))
         return tuple(reps)
 
 

@@ -16,10 +16,8 @@ Exit codes: 0 positive result, 1 negative result, 2 malformed input,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
-import operator
 import sys
 from typing import Optional, Sequence
 
@@ -34,11 +32,12 @@ from .boolfn import (
     walsh_transform,
 )
 from .cayley import graph_from_json, graph_to_json, spectrum
-from .engine import FRWitness, WitnessKind, decide_fr, search_all
+# search_all is not called here; bench/tracer.py wraps it under this name.
+from .engine import FRWitness, WitnessKind, decide_fr, search_all, search_classes  # noqa: F401
 from .errors import FrCayleyError, HypothesisViolationError, SpecFormatError
 from .families import build_from_spec, engine_agrees
 from .groups import make_group
-from .ioutil import _json_int_list, _json_object, dump_json, splice_records
+from .ioutil import _json_int_list, _json_object, dump_json, int_list_texts, splice_records
 from .oracle import verify_fr
 
 EXIT_OK = 0
@@ -94,25 +93,19 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# A certificate's JSON depends on everything but its involution `a` only
-# through these witness fields, and a search has few distinct values of them.
-_body_fields = operator.attrgetter(
-    *(f.name for f in dataclasses.fields(FRWitness) if f.name != "a")
-)
-
-
 def _cmd_search(args: argparse.Namespace) -> int:
     graph = graph_from_json(_load_json(args.spec))
-    bodies: dict[tuple, dict] = {}
-    records = []
-    for a, w in search_all(graph):
-        fields = _body_fields(w)
-        body = bodies.get(fields)
-        if body is None:
-            body = bodies[fields] = w.to_json()
+    fields, index = search_classes(graph)
+    # A certificate depends on its involution `a` only through the witness
+    # fields of its class: each class body (every key but "a") is built once.
+    bodies = []
+    for f in fields:
+        body = None
+        if f is not None:
+            body = FRWitness((), *f).to_json()
             del body["a"]
-        records.append((a, body))
-    found = any(body["kind"] == WitnessKind.FR.value for body in bodies.values())
+        bodies.append(body)
+    found = any(body is not None and body["kind"] == WitnessKind.FR.value for body in bodies)
     head = dump_json(
         {
             "group": list(graph.group.orders),
@@ -120,8 +113,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
             "fr_found": found,
         }
     )
-    # "certificates" sorts before the other keys, and "a" before the body's
-    _emit(args, splice_records(head, "certificates", "a", records))
+    # The involutions are the product of the coordinate choices less its
+    # first element, zero.  "certificates" sorts before the other keys, and
+    # "a" before the body's.
+    values = int_list_texts(graph.group.involution_choices())[1:] if index else []
+    _emit(args, splice_records(head, "certificates", "a", values, bodies, index))
     return EXIT_OK if found else EXIT_NEGATIVE
 
 

@@ -13,7 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, partial, reduce
+from functools import reduce
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -307,6 +307,25 @@ def valid_k(delta: int, modulus: int) -> tuple[int, ...]:
     return tuple(k for k in range(1, modulus + 1) if k % s)
 
 
+def _gap_has_step(k: int, modulus: int, gap: int, s: int) -> bool:
+    """True iff some delta with k * delta = gap (mod modulus) has step s.
+
+    With g = gcd(k, modulus) dividing gap and r = modulus / g, those delta
+    are the class of delta0 = (gap / g) * (k / g)^-1 mod r.  A delta has
+    step s exactly when gcd(delta, modulus) = modulus / q for q = 2s, or
+    q = s with s odd.  A delta of the class has gcd(delta, modulus) = h,
+    for h | modulus, exactly when gcd(h, r) = gcd(delta0, r): prime by
+    prime, the lift of delta0 mod r to mod modulus fixes the valuation
+    when it is below that of r, and leaves it free above it otherwise."""
+    g = math.gcd(k, modulus)
+    if gap % g:
+        return False
+    r = modulus // g
+    target = math.gcd(gap // g * pow(k // g, -1, r), r)
+    qs = (2 * s, s) if s % 2 else (2 * s,)
+    return any(modulus % q == 0 and math.gcd(modulus // q, r) == target for q in qs)
+
+
 def _is_valid_k(given: tuple[int, ...], s: int, modulus: int) -> bool:
     """given == valid_k(delta, modulus) for each delta of step s, decided in
     O(len(given)): s is a step of modulus, and given is a strictly
@@ -384,10 +403,8 @@ class FRWitness:
         """Read a certificate, then check each derived field it carries
         (kind, time, alpha, beta and valid_k) against its recomputation
         from k, modulus, rho0 and rho1.  When k is not invertible mod the
-        modulus, valid_k is checked to be the valid set of some step s, with
-        two necessary conditions for a delta of that step to give the phase
-        gap: gcd(k, modulus) divides rho0 - rho1, and s fails to divide k
-        exactly when the kind is FR."""
+        modulus, valid_k is checked to be the valid set of some step s such
+        that a delta of that step gives the phase gap (_gap_has_step)."""
         doc = _json_object(data, "witness document", ("a", "k", "modulus", "rho0", "rho1"))
         a = tuple(_json_int_list(doc["a"], "a"))
         k = _json_int(doc["k"], "k")
@@ -421,15 +438,14 @@ class FRWitness:
             raise _mismatch("valid_k")
         witness = cls(a, k, modulus, rho0 % modulus, rho1 % modulus, given)
         if g > 1:
-            # Some delta of step s must give the gap: k * delta = rho0 - rho1
-            # (mod modulus) needs gcd(k, modulus) | rho0 - rho1, and the gap
-            # is FR proper exactly when s does not divide k.
+            # Some delta of step s must give the gap k * delta = rho0 - rho1
+            # (mod modulus), which needs gcd(k, modulus) | rho0 - rho1.
             if (rho0 - rho1) % g:
                 raise SpecFormatError(
                     f"certificate fields 'rho0' and 'rho1' differ by no multiple of "
                     f"gcd(k, modulus) = {g}, so no phase gap k * delta gives them"
                 )
-            if (k % s != 0) != (witness.kind is WitnessKind.FR):
+            if not _gap_has_step(k, modulus, rho0 - rho1, s):
                 raise _mismatch("valid_k")
         if "kind" in doc and _json_str(doc["kind"], "kind") != witness.kind.value:
             raise _mismatch("kind")
@@ -508,24 +524,45 @@ def _witness_fields(degree: int, m: int, delta: int) -> Optional[tuple]:
     return k, big_n, rho0, rho1, valid
 
 
-def search_all(graph: CayleyGraph) -> list[tuple[Element, FRWitness]]:
+class WitnessClasses(NamedTuple):
+    """Every involution's canonical witness, grouped by its fields: fields[c]
+    is the (k, modulus, rho0, rho1, valid_k) of class c, or None for no
+    witness, and index[i] is the class of the i-th involution in
+    group.involutions() order."""
+
+    fields: list[Optional[tuple]]
+    index: list[int]
+
+
+def search_classes(graph: CayleyGraph) -> WitnessClasses:
     """Classify every involution of the group, as decide_fr does each one,
     from one spectrum and one fold of it (_fold_moduli over every mask).
 
-    Empty for odd group order (no involutions) and for non-integral spectra;
-    both are decided before any spectrum work.
-    """
+    The witness fields depend on the involution only through (m, delta),
+    and a search has few distinct pairs, so each pair's fields are computed
+    once.  No classes and an empty index for odd group order (no
+    involutions) and for non-integral spectra; both are decided before any
+    spectrum work."""
     G = graph.group
-    involutions = G.involutions()
-    if not involutions or graph.unit_orbits is None:
-        return []
+    if G.n % 2 == 1 or graph.unit_orbits is None:
+        return WitnessClasses([], [])
     spec = spectrum(graph)
     m, delta = _fold_moduli(G.n, *_fold(spec))
-    # few distinct (m, delta) pairs: each one's fields are computed once
-    fields = cache(partial(_witness_fields, spec.degree))
-    out: list[tuple[Element, FRWitness]] = []
-    for a, mi, di in zip(involutions, m[1:].tolist(), delta[1:].tolist()):
-        f = fields(mi, di)
-        if f is not None:
-            out.append((a, FRWitness(a, *f)))
-    return out
+    classes: dict[tuple[int, int], int] = {}
+    index = [
+        classes.setdefault(pair, len(classes))
+        for pair in zip(m[1:].tolist(), delta[1:].tolist())
+    ]
+    fields = [_witness_fields(spec.degree, mi, di) for mi, di in classes]
+    return WitnessClasses(fields, index)
+
+
+def search_all(graph: CayleyGraph) -> list[tuple[Element, FRWitness]]:
+    """(a, decide_fr(graph, a)) for every involution a with a witness, in
+    group.involutions() order, expanded from search_classes."""
+    fields, index = search_classes(graph)
+    return [
+        (a, FRWitness(a, *fields[c]))
+        for a, c in zip(graph.group.involutions(), index)
+        if fields[c] is not None
+    ]

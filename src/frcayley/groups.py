@@ -162,10 +162,14 @@ class FiniteAbelianGroup:
             if math.gcd(k, d) == 1:
                 yield k, self.scale(k, g)
 
+    def involution_choices(self) -> list[tuple[int, ...]]:
+        """Per factor, the coordinates of the g with g + g = 0: 0 and m/2
+        on a factor of even order m, 0 alone on an odd one."""
+        return [(0, m // 2) if m % 2 == 0 else (0,) for m in self.orders]
+
     def involutions(self) -> list[Element]:
         """Nonzero g with g + g = 0, lexicographic; empty iff the order is odd."""
-        cands = [(0, m // 2) if m % 2 == 0 else (0,) for m in self.orders]
-        return [g for g in itertools.product(*cands) if any(g)]
+        return [g for g in itertools.product(*self.involution_choices()) if any(g)]
 
     def units(self) -> list[int]:
         """Units of Z_exponent (the scalars acting on the group)."""

@@ -79,33 +79,53 @@ def _render(value, newline: str) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def splice_records(text: str, field: str, key: str, records: Sequence) -> str:
-    """The canonical text of {field: [{key: value, **body} for value, body
-    in records], **rest}, given text = dump_json(rest) for a non-empty rest
-    whose keys all sort after field.  key must sort before every key of
-    each body, and no body may be empty.
+# the line break and indent of a splice_records record's fields
+_FIELD = "\n      "
 
-    Each distinct body object (by identity) is rendered once, and each
-    value once, so records that share a few bodies cost little more than
-    their values."""
-    if records:
-        # the list sits one indent deep, its records two, their fields three
-        opening = _opening(key, "\n    ")
-        # id(body) -> its text after the value; records holds every body
-        # for the whole loop, so no id is reused
-        closings: dict[int, str] = {}
-        items = []
-        for value, body in records:
-            closing = closings.get(id(body))
-            if closing is None:
-                if not (body and key < min(body)):
-                    raise ValueError(f"key {key!r} must sort before every key of a non-empty body")
-                closing = closings[id(body)] = "," + _render(body, "\n    ")[1:]
-            items.append(opening + _render(value, "\n      ") + closing)
-        listed = "[\n    " + ",\n    ".join(items) + "\n  ]"
-    else:
-        listed = "[]"
-    return _opening(field, "\n") + listed + "," + text[1:]
+
+def splice_records(
+    text: str, field: str, key: str, values: Sequence[str], bodies: Sequence, index: Sequence[int]
+) -> str:
+    """The canonical text of {field: [{key: value_i, **bodies[index[i]]}
+    for each i whose body is not None], **rest}, given text =
+    dump_json(rest) for a non-empty rest whose keys all sort after field.
+    values[i] is the text of value_i as a field of a record, three indents
+    deep (int_list_texts writes such texts).  key must sort before every
+    key of each body, and no body may be empty.
+
+    Each body is rendered once, and each record is three strings joined, so
+    records that share a few bodies cost little more than their values."""
+    # the list sits one indent deep, its records two, their fields three
+    closings = []
+    for body in bodies:
+        if body is not None:
+            if not (body and key < min(body)):
+                raise ValueError(f"key {key!r} must sort before every key of a non-empty body")
+            body = "," + _render(body, "\n    ")[1:]
+        closings.append(body)
+    opening = _opening(key, "\n    ")
+    items = [
+        opening + value + closing
+        for value, c in zip(values, index)
+        if (closing := closings[c]) is not None
+    ]
+    # one join, so the records' text is copied once more, not three times
+    listed = ["[\n    ", ",\n    ".join(items), "\n  ]"] if items else ["[]"]
+    return "".join([_opening(field, "\n"), *listed, ",", text[1:]])
+
+
+def int_list_texts(choices: Sequence[Sequence[int]]) -> list[str]:
+    """The text of list(c) as a field of a splice_records record, for each
+    c in itertools.product(*choices), in that order.  The texts are built
+    one factor at a time, each shared prefix written once, so they cost
+    about two concatenations apiece."""
+    inner = _FIELD + "  "
+    texts = ["[" + inner]
+    for i, coords in enumerate(choices):
+        tail = _FIELD + "]" if i == len(choices) - 1 else "," + inner
+        ends = [int.__repr__(c) + tail for c in coords]
+        texts = [prefix + end for prefix in texts for end in ends]
+    return texts if choices else ["[]"]
 
 
 def _opening(key: str, newline: str) -> str:

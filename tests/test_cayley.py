@@ -259,6 +259,68 @@ class TestUnitOrbits:
     def test_empty_set_is_closed(self):
         assert quiet_graph([2, 3], []).unit_orbits == ()
 
+    # Elements of orders 3, 4 and 6 (orbit {s, -s}, taken without a walk)
+    # next to elements of orders 5, 8 and 12 (longer orbits).
+    MIXED_ORDERS = [[12, 5], [8, 3], [24], [6, 4, 5], [2, 12, 2]]
+
+    @pytest.mark.parametrize("orders", MIXED_ORDERS, ids=str)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_brute_force_closure(self, orders, seed):
+        group = make_group(orders)
+        rng = random.Random(seed)
+        sets = [
+            random_unit_closed_set(group, rng, prob=0.3),
+            random_unit_closed_set(group, rng, prob=0.6),
+            random_symmetric_set(group, rng, prob=0.2),
+        ]
+        # a unit-closed set with one long orbit cut down to {s, -s}
+        cut = random_unit_closed_set(group, rng, prob=0.5)
+        long = [s for s in cut if group_order_brute(group, s) in (5, 8, 12)]
+        if long:
+            s = rng.choice(long)
+            orbit = {group.scale(u, s) for u in fr.units_mod(group.exponent)}
+            sets.append(sorted(set(cut) - orbit | {s, group.neg(s)}))
+        for conn in sets:
+            graph = graph_from_set(group, conn)
+            assert graph.unit_orbits == unit_orbits_brute(graph), conn
+
+    @pytest.mark.parametrize(
+        "orders, long",
+        [([12, 5], [(0, 1), (0, 4)]), ([8, 3], [(1, 0), (7, 0)])],
+        ids=["order 5", "order 8"],
+    )
+    def test_defect_only_in_a_long_orbit(self, orders, long):
+        # every element of order 2, 3, 4 or 6, plus one pair {s, -s} whose
+        # other unit multiples are missing: not integral
+        group = make_group(orders)
+        short = [g for g in group.elements() if group_order_brute(group, g) in (2, 3, 4, 6)]
+        graph = graph_from_set(group, short + long)
+        assert unit_orbits_brute(graph) is None
+        assert graph.unit_orbits is None
+        closed = graph_from_set(group, short)
+        assert closed.unit_orbits is not None
+        assert closed.unit_orbits == unit_orbits_brute(closed)
+
+
+def group_order_brute(group, s) -> int:
+    """The least k >= 1 with k s = 0."""
+    k, x = 1, s
+    while x != group.zero:
+        k, x = k + 1, group.add(x, s)
+    return k
+
+
+def unit_orbits_brute(graph):
+    """CayleyGraph.unit_orbits by brute force: None unless S is closed under
+    every unit of the exponent, else each orbit's least element and order."""
+    G = graph.group
+    members = set(graph.connection)
+    units = fr.units_mod(G.exponent)
+    if any(G.scale(u, s) not in members for s in members for u in units):
+        return None
+    orbits = {min(G.scale(u, s) for u in units) for s in members}
+    return tuple((s, group_order_brute(G, s)) for s in sorted(orbits))
+
 
 @given(st.data())
 @settings(max_examples=80, deadline=None)

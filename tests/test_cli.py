@@ -5,8 +5,10 @@ from __future__ import annotations
 import contextlib
 import copy
 import io
+import itertools
 import json
 import math
+import random
 import tempfile
 import time
 import tracemalloc
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 import frcayley as fr
 from frcayley import decide_fr, graph_to_json, make_graph
 from frcayley.cli import build_parser, main
-from frcayley.ioutil import dump_json, splice_records
+from frcayley.ioutil import dump_json, int_list_texts, splice_records
 from conftest import BENT4_SUPPORT, PRISM_SET, UNITS_9, UNITS_SET
 from helpers import random_unit_closed_set
 
@@ -527,22 +529,46 @@ class TestDeterminism:
 
     @given(
         st.lists(JSON_DOCUMENTS, max_size=6),
-        st.lists(st.dictionaries(st.text(min_size=1), JSON_DOCUMENTS, min_size=1, max_size=3),
-                 min_size=1, max_size=3),
+        st.lists(
+            st.one_of(
+                st.none(),
+                st.dictionaries(st.text(min_size=1), JSON_DOCUMENTS, min_size=1, max_size=3),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
         st.data(),
     )
     @settings(max_examples=200)
     def test_spliced_records_are_the_indented_sorted_json_text(self, values, bodies, data):
-        # Every non-empty key sorts after ""; bodies repeat by identity.
-        records = [(v, data.draw(st.sampled_from(bodies))) for v in values]
-        doc = {"records": [{"": v, **body} for v, body in records], "rest": bodies}
+        # Every non-empty key sorts after ""; bodies repeat by index, and a
+        # record whose body is None is left out.
+        index = [data.draw(st.integers(0, len(bodies) - 1)) for _ in values]
+        records = [{"": v, **bodies[c]} for v, c in zip(values, index) if bodies[c] is not None]
+        doc = {"records": records, "rest": bodies}
         expected = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-        assert splice_records(dump_json({"rest": bodies}), "records", "", records) == expected
+        texts = [record_field_text(v) for v in values]
+        spliced = splice_records(dump_json({"rest": bodies}), "records", "", texts, bodies, index)
+        assert spliced == expected
 
     @pytest.mark.parametrize("body", [{}, {"a": 1}, {"A": 1, "b": 2}])
     def test_spliced_key_must_sort_first(self, body):
         with pytest.raises(ValueError, match="must sort before"):
-            splice_records(dump_json({"b": 0}), "a", "a", [([1], body)])
+            splice_records(dump_json({"b": 0}), "a", "a", [record_field_text([1])], [body], [0])
+
+    @given(st.lists(st.lists(st.integers(-(2**70), 2**70), max_size=3), max_size=5))
+    @settings(max_examples=200)
+    def test_int_list_texts_are_the_product_in_order(self, choices):
+        expected = [record_field_text(list(c)) for c in itertools.product(*choices)]
+        assert int_list_texts(choices) == expected
+
+
+def record_field_text(value) -> str:
+    """The JSON text of value as a field of a splice_records record, three
+    indents deep: json.dumps of it with each line break indented six more
+    spaces (a JSON string holds no raw line break)."""
+    text = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
+    return text.replace("\n", "\n      ")
 
 
 def search_reference(doc: dict) -> str:
@@ -592,6 +618,16 @@ def random_cube_graphs(draw):
     return graph_doc(group.orders, [group.unrank(r) for r in sorted(ranks)])
 
 
+# Z4 x Z4 x Z2 with seven involutions in four (m, delta) classes
+FOUR_CLASSES = graph_doc(
+    [4, 4, 2],
+    [
+        (0, 1, 1), (0, 2, 0), (0, 3, 1), (1, 1, 1), (1, 2, 1), (2, 1, 0),
+        (2, 1, 1), (2, 2, 1), (2, 3, 0), (2, 3, 1), (3, 2, 1), (3, 3, 1),
+    ],
+)
+
+
 class TestSearchBytes:
     """`fr search` renders each distinct certificate body once and splices
     in `a`; the bytes it writes must be those of json.dumps, to a file and
@@ -601,6 +637,7 @@ class TestSearchBytes:
     CASES = {
         "odd order": (graph_doc([9], [(u,) for u in UNITS_9]), [], 0),
         "non-integral": (graph_doc([8], [(1,), (7,)]), [], 0),
+        "edgeless": (graph_doc([2, 2], []), [], 0),
         "PST only, one factor": (graph_doc([4], [(1,), (3,)]), ["PST"], 1),
         "PERIODIC only, one factor": (graph_doc([8], [(i,) for i in range(1, 8)]), ["PERIODIC"], 1),
         "PERIODIC only, cube": (
@@ -615,6 +652,9 @@ class TestSearchBytes:
             ["PERIODIC"] * 6 + ["PST"],
             2,
         ),
+        "four classes, ring": (
+            FOUR_CLASSES, ["PERIODIC"] * 4 + ["PST"] + ["PERIODIC"] * 2, 2,
+        ),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -625,6 +665,38 @@ class TestSearchBytes:
         assert [c["kind"] for c in certificates] == kinds
         assert len({json.dumps({**c, "a": None}) for c in certificates}) == bodies
         assert search_outputs(doc) == (0 if "FR" in kinds else 1, expected, expected)
+
+    def test_classes_interleave(self):
+        # four (m, delta) classes over seven involutions, two of them
+        # rendering the same body: each record must take its own class's text
+        graph = fr.graph_from_json(FOUR_CLASSES)
+        fields, index = fr.search_classes(graph)
+        assert index == [0, 1, 0, 2, 3, 1, 0]
+        assert len(fields) == 4 and len(set(fields)) == 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "orders", [[2, 3, 4], [6, 5, 2], [4, 9, 8], [2, 2, 6, 3]], ids=str
+    )
+    def test_odd_factors_between_even_ones(self, orders, seed):
+        # a-coordinates m/2 > 1 on the even factors, 0 on the odd ones
+        group = fr.make_group(orders)
+        doc = graph_doc(orders, random_unit_closed_set(group, random.Random(seed), 0.6))
+        expected = search_reference(doc)
+        assert len(json.loads(expected)["certificates"]) == len(group.involutions())
+        code, written, printed = search_outputs(doc)
+        assert written == printed == expected
+
+    @pytest.mark.parametrize("t, size", [(8, 24), (8, 128), (9, 40), (9, 300)])
+    def test_large_cubes(self, t, size):
+        # 255 and 511 certificates pin the order of the a-text product
+        group = fr.make_group([2] * t)
+        ranks = random.Random(t * size).sample(range(1, group.n), size)
+        doc = graph_doc(group.orders, [group.unrank(r) for r in sorted(ranks)])
+        expected = search_reference(doc)
+        assert len(json.loads(expected)["certificates"]) == group.n - 1
+        code, written, printed = search_outputs(doc)
+        assert written == printed == expected
 
     @given(st.one_of(unit_closed_ring_graphs(), random_cube_graphs()))
     @settings(max_examples=80, deadline=None)
@@ -788,6 +860,20 @@ class TestForgedValidK:
         assert code == 2
         assert out == ""
         assert "valid_k" in err
+
+    def test_valid_set_no_delta_of_the_gap_gives_is_exit_two(self, capsys, tmp_path):
+        # k * delta = 2 (mod 12) gives delta in {1, 7}, of step 6, not 3
+        graph = write_json(tmp_path, "g.json", graph_doc([2, 9], UNITS_SET))
+        cert = write_json(
+            tmp_path,
+            "cert.json",
+            {"a": [1, 0], "k": 2, "modulus": 12, "rho0": 2, "rho1": 0,
+             "valid_k": [1, 2, 4, 5, 7, 8, 10, 11]},
+        )
+        code, out, err = run(capsys, ["verify", graph, cert])
+        assert code == 2
+        assert out == ""
+        assert "'valid_k'" in err
 
     def test_phase_gap_no_delta_gives_is_exit_two(self, capsys, tmp_path):
         # 2 * delta = 1 (mod 4) has no solution; the dense check would only fail

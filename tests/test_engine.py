@@ -551,14 +551,14 @@ class TestWitnessJson:
     @settings(max_examples=200)
     @given(st.integers(min_value=2, max_value=120), st.data())
     def test_given_valid_k_is_a_valid_set_when_k_is_not_invertible(self, modulus, data):
-        # delta is ambiguous, so a list that some delta gives is accepted
-        # when it holds k exactly if the phase gap at k is FR proper, and no
-        # other list is.
+        # delta is ambiguous, so a list is accepted exactly when some delta
+        # that gives the phase gap at k also gives the list.
         half = modulus / 2
-        sets = {
+        valid = [
             tuple(k for k in range(1, modulus + 1) if (k * d) % modulus not in (0, half))
             for d in range(modulus)
-        }
+        ]
+        sets = set(valid)
         g = data.draw(st.sampled_from([g for g in range(2, modulus + 1) if modulus % g == 0]))
         k = g * data.draw(st.integers(min_value=1, max_value=modulus // g))
         gap = k * data.draw(st.integers(min_value=0, max_value=modulus - 1)) % modulus
@@ -574,11 +574,43 @@ class TestWitnessJson:
         elif edit == "replace":
             given_k = data.draw(st.lists(st.integers(min_value=-1, max_value=modulus + 1)))
         doc = {"a": [1], "k": k, "modulus": modulus, "rho0": gap, "rho1": 0, "valid_k": given_k}
-        if tuple(given_k) in sets and (k in given_k) == (gap not in (0, half)):
+        if any(k * d % modulus == gap and valid[d] == tuple(given_k) for d in range(modulus)):
             assert FRWitness.from_json(doc).valid_k == tuple(given_k)
         else:
             with pytest.raises(SpecFormatError, match="valid_k"):
                 FRWitness.from_json(doc)
+
+    def test_valid_k_of_a_step_no_delta_of_the_gap_has_is_refused(self):
+        # s = 3 fits k = 2 and the gap 2 is FR proper, but k * delta = 2
+        # (mod 12) gives delta in {1, 7}, both of step 6
+        doc = {"a": [1, 0], "k": 2, "modulus": 12, "rho0": 2, "rho1": 0,
+               "valid_k": [1, 2, 4, 5, 7, 8, 10, 11]}
+        with pytest.raises(SpecFormatError, match="valid_k"):
+            FRWitness.from_json(doc)
+
+    def test_every_small_certificate_is_accepted_exactly_when_some_delta_gives_it(self):
+        # Brute force over every modulus <= 48, k, phase gap rho0 - rho1
+        # (rho1 moving with k and the gap) and valid set: accepted exactly
+        # when some delta gives both the gap k * delta and the valid set.
+        for modulus in range(1, 49):
+            half = modulus / 2
+            valid = [
+                tuple(k for k in range(1, modulus + 1) if (k * d) % modulus not in (0, half))
+                for d in range(modulus)
+            ]
+            for k in range(1, modulus + 1):
+                gives = {(k * d % modulus, valid[d]) for d in range(modulus)}
+                for gap in range(modulus):
+                    rho1 = (k + gap) % modulus
+                    for given_k in set(valid):
+                        doc = {"a": [1], "k": k, "modulus": modulus, "rho0": gap + rho1,
+                               "rho1": rho1, "valid_k": list(given_k)}
+                        case = (modulus, k, gap, given_k)
+                        if (gap, given_k) in gives:
+                            assert FRWitness.from_json(doc).valid_k == given_k, case
+                        else:
+                            with pytest.raises(SpecFormatError):
+                                FRWitness.from_json(doc)
 
     def test_roundtrip(self, corpus):
         for name, graph in corpus:
