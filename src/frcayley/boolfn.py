@@ -22,23 +22,24 @@ from .groups import Element, FiniteAbelianGroup, make_group
 
 
 def hadamard_transform(values: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Butterfly Walsh–Hadamard transform of an integer vector, or of each
-    row of a stack of them (along the last axis).
+    """Butterfly Walsh–Hadamard transform of an integer vector.
 
     Length must be a power of two; index j pairs with index x through the
     bit-wise dot product of their binary expansions.
     """
     out = np.array(values, dtype=np.int64, copy=True)
-    m = out.shape[-1] if out.ndim else 0
+    if out.ndim != 1:
+        raise ValueError(f"input must be one-dimensional, got {out.ndim} dimensions")
+    m = out.size
     if m == 0 or m & (m - 1):
         raise ValueError(f"length must be a power of two, got {m}")
     h = 1
     while h < m:
         # every block of 2h at once: rows (a, b) become (a + b, a - b)
-        blocks = out.reshape(out.shape[:-1] + (-1, 2, h))
-        a = blocks[..., 0, :].copy()
-        blocks[..., 0, :] += blocks[..., 1, :]
-        blocks[..., 1, :] = a - blocks[..., 1, :]
+        blocks = out.reshape(-1, 2, h)
+        a = blocks[:, 0].copy()
+        blocks[:, 0] += blocks[:, 1]
+        blocks[:, 1] = a - blocks[:, 1]
         h *= 2
     return out
 

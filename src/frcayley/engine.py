@@ -18,7 +18,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .boolfn import hadamard_transform
 from .cayley import CayleyGraph, Spectrum, spectrum
 from .cyclotomic import _factorize
 from .errors import (
@@ -133,10 +132,6 @@ def involution_moduli(
     t, D, F = _fold(spec)
     f = int(np.gcd.reduce(F))
     evens = [i for i, m in enumerate(G.orders) if m % 2 == 0]
-    # parity[x] = popcount(x) mod 2
-    parity = np.zeros(1 << t, dtype=bool)
-    for i in range(t):
-        parity[1 << i : 2 << i] = ~parity[: 1 << i]
     classes = np.arange(1 << t)
     out = []
     for a in involutions:
@@ -145,7 +140,7 @@ def involution_moduli(
             raise NotInvolutionError(f"element {a} does not have order 2")
         mask = sum(1 << (t - 1 - bit) for bit, i in enumerate(evens) if a[i])
         r = mask & -mask
-        odd = parity[classes & mask]
+        odd = np.bitwise_count(classes & mask) % 2 == 1
         delta = int(D[r])
         m = math.gcd(f, int(np.gcd.reduce(D[~odd])), int(np.gcd.reduce(D[odd] - delta)))
         if m != 0 and G.n % m != 0:
@@ -191,11 +186,6 @@ def _fold(spec: Spectrum) -> tuple[int, np.ndarray, np.ndarray]:
     return t, spec.degree - first, np.gcd.reduce(blocks - first[:, None], axis=1)
 
 
-# Entries of the (moduli x 2^t) divisibility stack per chunk: each int64
-# temporary holds about 2^18 entries (2 MiB), or one row when 2^t is larger.
-_CHUNK = 1 << 18
-
-
 def _fold_moduli(n: int, t: int, D: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """int64 arrays m and delta over every mask 0 .. 2^t - 1 (entry 0
     unused), from the fold (t, D, F).
@@ -204,47 +194,50 @@ def _fold_moduli(n: int, t: int, D: np.ndarray, F: np.ndarray) -> tuple[np.ndarr
     classes of a, and of D[x] - D[r] over its odd classes, where r, the
     lowest set bit of the mask, is the class of the reference and D[r] is
     delta.  So m(a) divides f = gcd(F), and a modulus q with q | f divides
-    m(a) exactly when
-
-        #{even x : D[x] != 0 mod q} + #{odd x : D[x] != D[r] mod q} = 0.
-
-    With A = [D != 0 mod q] and C = [D != D[r] mod q] the left side is
-    (sum A + sum C + W(A - C)[a]) / 2, where W is the Walsh-Hadamard
-    transform (see _divisible).  One row per modulus q: each power p^j that
-    divides f, up to one past v_p(n), of the primes p that can divide some
-    m(a) (_candidate_primes); and when f = 0 the zero test q = 2 max|D| + 1,
-    larger than every |D[x]| and |D[x] - D[r]|, so it divides m(a) exactly
-    when m(a) = 0.  The rows cost O(rows * t * 2^t) for every mask at
-    once.  Raises if some m(a) does not divide n."""
+    m(a) exactly when R = D mod q is 0 on the even classes of a and R[r] on
+    its odd ones.  The even classes form the hyperplane a^perp of G/2G.  If
+    R is not 0 everywhere, a hit forces R[r] != 0, so {x : R[x] = 0} is
+    a^perp exactly, and a has bit i set exactly when R[2^i] != 0: each
+    modulus hits every mask, that one mask, or none.  One row per modulus
+    q: each power p^j that divides f, up to one past v_p(n), of the primes
+    p that can divide some m(a) (_candidate_primes); and when f = 0 the
+    zero test q = 2 max|D| + 1, larger than every |D[x]| and |D[x] - D[r]|,
+    so it divides m(a) exactly when m(a) = 0.  O(2^t) per row.  Raises if
+    some m(a) does not divide n."""
     f = int(np.gcd.reduce(F))
-    qs = [2 * int(np.abs(D).max()) + 1] if f == 0 else []
-    powers = []  # (p, p^j)
+    # (p, q) per row, with p = 0 for the zero test
+    rows = [(0, 2 * int(np.abs(D).max()) + 1)] if f == 0 else []
     for p in _candidate_primes(f, D):
         q = p
         while f % q == 0:
-            powers.append((p, q))
+            rows.append((p, q))
             if n % q:
                 break
             q *= p
-    qs += [q for _, q in powers]
-    hits = np.zeros((len(qs), 1 << t), dtype=bool)
-    step = max(1, _CHUNK >> t)
-    for lo in range(0, len(qs), step):
-        chunk = np.array(qs[lo : lo + step], dtype=np.int64)
-        hits[lo : lo + len(chunk)] = _divisible(D % chunk[:, None], t)
 
-    zero = hits[0] if f == 0 else np.zeros(1 << t, dtype=bool)
+    classes = np.arange(1 << t)
+    zero = np.zeros(1 << t, dtype=bool)
     m = np.ones(1 << t, dtype=np.int64)
-    for (p, q), hit in zip(powers, hits[len(qs) - len(powers) :]):
-        if n % q == 0:
+    for p, q in rows:
+        R = D % q
+        if not R.any():
+            hit: slice | int = slice(1, None)  # mask 0 is no involution
+        else:
+            a = sum(1 << i for i in range(t) if R[1 << i])
+            odd = np.bitwise_count(classes & a) % 2 == 1
+            if not a or R[~odd].any() or (R[odd] != R[a & -a]).any():
+                continue
+            hit = a
+        if p == 0:
+            zero[hit] = True
+        elif n % q == 0:
             m[hit] *= p
-        elif (hit & ~zero).any():
+        elif not zero[hit].all():
             raise ArithmeticError(
                 f"a modulus divisible by {q} does not divide the group order {n}"
             )
     m[zero] = 0
-    lowest = np.arange(1 << t)
-    return m, D[lowest & -lowest]
+    return m, D[classes & -classes]
 
 
 def _candidate_primes(f: int, D: np.ndarray) -> list[int]:
@@ -266,28 +259,6 @@ def _candidate_primes(f: int, D: np.ndarray) -> list[int]:
     others = nonzero[nonzero != c]
     values = [c] if others.size == 0 else [c, int(others[0]), int(others[0]) - c]
     return sorted({p for v in values for p in _factorize(abs(v))})
-
-
-def _divisible(residues: np.ndarray, t: int) -> np.ndarray:
-    """hits[k, a] = (the count of _fold_moduli is 0) for each row k of
-    residues = D mod q_k, at every mask a (entry 0 unused).
-
-    A mask with lowest set bit 2^i is b * 2^(i+1) + 2^i, and its character
-    sign at class x is (-1)^(bit i of x) * (-1)^(popcount of b & (x >>
-    (i + 1))).  So W(R) at every such mask is one transform of length
-    2^(t-1-i) of R summed over the low bits with sign (-1)^(bit i): all t
-    of them cost one full transform."""
-    rows = residues.shape[0]
-    A = residues != 0
-    base = A.sum(axis=1)
-    A = A.astype(np.int64)
-    out = np.zeros((rows, 1 << t), dtype=bool)
-    for i in range(t):
-        C = residues != residues[:, 1 << i, None]
-        halves = (A - C).reshape(rows, -1, 2, 1 << i).sum(axis=3)
-        W = hadamard_transform(halves[:, :, 0] - halves[:, :, 1])
-        out[:, 1 << i :: 2 << i] = (base + C.sum(axis=1))[:, None] + W == 0
-    return out
 
 
 def _step(delta: int, modulus: int) -> int:
@@ -536,7 +507,8 @@ class WitnessClasses(NamedTuple):
 
 def search_classes(graph: CayleyGraph) -> WitnessClasses:
     """Classify every involution of the group, as decide_fr does each one,
-    from one spectrum and one fold of it (_fold_moduli over every mask).
+    from one spectrum and one fold of it (_fold_moduli: one hyperplane test
+    per modulus, over every mask).
 
     The witness fields depend on the involution only through (m, delta),
     and a search has few distinct pairs, so each pair's fields are computed

@@ -60,8 +60,10 @@ class TestHadamardTransform:
         assert hadamard_transform([5]).tolist() == [5]
 
     def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            hadamard_transform([1, 2, 3])
+        # and any input that is not one vector: a 2-D stack or a 0-d scalar
+        for values in ([1, 2, 3], [[1, 0], [0, 1]], 4):
+            with pytest.raises(ValueError):
+                hadamard_transform(values)
 
     @given(st.lists(st.integers(min_value=-8, max_value=8), min_size=1, max_size=16))
     def test_matches_naive_on_padded_input(self, raw):

@@ -320,7 +320,7 @@ class TestInvolutionModuli:
     """The fold onto G/2G gives, for every involution, the m, reference and
     delta of the per-involution reference compute_moduli(spec,
     split_by_involution), both from three gcds per involution
-    (involution_moduli) and from the divisibility counts over every
+    (involution_moduli) and from one hyperplane test per modulus over every
     involution at once (_fold_moduli)."""
 
     @staticmethod
@@ -365,7 +365,7 @@ class TestInvolutionModuli:
     @settings(max_examples=150, deadline=None)
     def test_agrees_with_split_on_arbitrary_integer_arrays(self, data):
         # Any integer array as the spectrum, built from a few values so that
-        # the moduli are often large: the divisibility counts must find each
+        # the moduli are often large: the hyperplane tests must find each
         # prime of m, also one that does not divide n, where both sides raise.
         orders = data.draw(
             st.sampled_from([[2], [4], [2, 2], [2, 3], [2, 4], [6, 2], [2, 2, 2], [4, 4], [2] * 4])
@@ -389,8 +389,8 @@ class TestInvolutionModuli:
             assert self.counts(spec) == self.m_and_delta(expected), (orders, lam)
 
     def test_random_cube_of_dimension_13_within_two_seconds(self):
-        # 8191 involutions, decided by divisibility counts rather than one
-        # fold pass each
+        # 8191 involutions, decided by one hyperplane test per modulus rather
+        # than one fold pass each
         group = make_group([2] * 13)
         ranks = random.Random(13).sample(range(1, group.n), 200)
         graph = graph_from_set(group, [group.unrank(r) for r in ranks])
@@ -398,6 +398,68 @@ class TestInvolutionModuli:
         found = search_all(graph)
         assert time.process_time() - start < 2.0
         assert len(found) == 8191
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_agrees_with_gcds_on_hyperplane_arrays(self, data):
+        # D = 0 mod q on the even classes of a (the hyperplane a^perp of
+        # G/2G) and D = c on the odd ones, so the row of q hits a alone;
+        # random arrays seldom do.  Perturbing one class breaks the plane.
+        t = data.draw(st.integers(min_value=1, max_value=8))
+        # two factors from {2, 4, 6} and the rest Z2, so n <= 36 * 2^6
+        orders = [data.draw(st.sampled_from([2, 4, 6])) if i < 2 else 2 for i in range(t)]
+        group = make_group(orders)
+        a = data.draw(st.integers(min_value=1, max_value=(1 << t) - 1))
+        q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32]))
+        c = data.draw(st.integers(min_value=1, max_value=q - 1))
+        seed = data.draw(st.integers(min_value=0, max_value=2**31))
+        rng = np.random.default_rng(seed)
+        classes = np.arange(1 << t)
+        D = q * rng.integers(-3, 4, size=1 << t) + c * (np.bitwise_count(classes & a) % 2)
+        if data.draw(st.booleans()):
+            x = data.draw(st.integers(min_value=0, max_value=(1 << t) - 1))
+            D[x] += data.draw(st.integers(min_value=1, max_value=q - 1))
+        # every element of class x gets d - D[x], up to a multiple of q
+        even = [i for i, m in enumerate(orders) if m % 2 == 0]
+        x_of = [
+            sum((g[i] % 2) << (t - 1 - j) for j, i in enumerate(even))
+            for g in group.elements()
+        ]
+        d = data.draw(st.integers(min_value=-20, max_value=20))
+        lam = d - D[x_of] - q * rng.integers(0, 2, size=group.n)
+        spec = Spectrum(group, d, lam.astype(np.int64))
+        invs = group.involutions()
+        try:
+            expected = [(mod.m, mod.delta) for mod in involution_moduli(spec, invs)]
+        except ArithmeticError as exc:
+            assert "does not divide" in str(exc)
+            with pytest.raises(ArithmeticError, match="does not divide"):
+                self.counts(spec)
+        else:
+            assert self.counts(spec) == expected, (orders, a, q, D.tolist())
+
+    def test_row_hitting_every_mask_ignores_mask_zero(self):
+        # Z2, d = 3, lambda = [3, -2]: D = [0, 5] and m(1) = 0.  The row of
+        # q = 5 hits every mask, mask 0 included, and 5 does not divide n =
+        # 2; but the only involution has m = 0, so nothing raises.
+        spec = Spectrum(make_group([2]), 3, np.array([3, -2], dtype=np.int64))
+        assert self.counts(spec) == [(0, 5)]
+        assert [(mod.m, mod.delta) for mod in involution_moduli(spec, [(1,)])] == [(0, 5)]
+
+    def test_cube_of_dimension_16_fold_within_six_mib(self):
+        # 65535 involutions: O(2^t) memory per modulus, no rows x 2^t stack
+        group = make_group([2] * 16)
+        ranks = random.Random(0).sample(range(1, group.n), 300)
+        graph = graph_from_set(group, [group.unrank(r) for r in ranks])
+        fold = engine._fold(spectrum(graph))
+        tracemalloc.start()
+        try:
+            m, _ = engine._fold_moduli(group.n, *fold)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.size == group.n
+        assert peak < 6 * 2**20
 
     def test_agrees_with_split_on_corpus(self, corpus):
         for name, graph in corpus:
@@ -469,7 +531,8 @@ def violate(case: str) -> None:
         if case in ("fold_modulus_cube", "fold_counts_cube"):
             # On (Z2)^2 with a = (1, 0): m0 = gcd(0, 5 - 2) = 3 and m1 = 0.
             # No class spread is nonzero, so 3 is found from the fold alone,
-            # by the gcds for one involution or by the counts for all three.
+            # by the gcds for one involution or by the hyperplane test of the
+            # row q = 3 for all three.
             cube = make_group([2, 2])
             spec = Spectrum(cube, 5, np.array([5, 2, 2, 2]))
             if case == "fold_modulus_cube":

@@ -56,7 +56,8 @@ def test_decide_probe(probe):
 
 
 def test_cube_probe_decides_every_involution_from_counts(probe):
-    # 16383 involutions of (Z2)^14 from divisibility counts, not a fold pass each
+    # 16383 involutions of (Z2)^14 from one hyperplane test per modulus, not a
+    # fold pass each
     report = probe.probe_cube(14)
     assert report["n"] == 2**14 and report["degree"] == 300
     assert report["involutions"] == report["certificates"] == 16383
