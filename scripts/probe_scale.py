@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Time the scale probes beyond the benchmark ladder and print them as JSON.
 
-Six probes, each one run in this process, timed in CPU seconds:
+Seven probes, each one run in this process, timed in CPU seconds:
 
+- parse: graph_from_json on the loaded JSON of Z2 x Z4 x Z12500 (n = 10^5)
+  with the unit-closed set {(a, b, u) : u a unit mod 12500} (|S| = 40000),
+  then the whole `fr search -o` on the same file, run in process;
 - connectivity: make_graph on Z2 x Z4 x Z1250 (n = 10^4) with the
   unit-closed set {(a, b, u) : u a unit mod 1250} (|S| = 4000);
 - search: search_all on Z2 x Z4 x Z12500 (n = 10^5, seven involutions)
@@ -47,6 +50,30 @@ from frcayley.cli import main as fr_main
 def unit_closed_rows(m: int) -> list[tuple[int, int, int]]:
     """Every (a, b, u) in Z2 x Z4 x Zm with u a unit mod m."""
     return [(a, b, u) for a in range(2) for b in range(4) for u in fr.units_mod(m)]
+
+
+def probe_parse() -> dict:
+    doc = {"group": [2, 4, 12500], "set": [list(r) for r in unit_closed_rows(12500)]}
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "graph.json"
+        out = Path(tmp) / "search.json"
+        spec.write_text(json.dumps(doc), encoding="utf-8")
+        loaded = json.loads(spec.read_text(encoding="utf-8"))
+        start = time.process_time()
+        graph = fr.graph_from_json(loaded)
+        parse_cpu = time.process_time() - start
+        start = time.process_time()
+        code = fr_main(["search", str(spec), "-o", str(out)])
+        search_cpu = time.process_time() - start
+        written = out.read_bytes()
+    return {
+        "n": graph.n,
+        "degree": graph.degree,
+        "parse_cpu_s": parse_cpu,
+        "search_exit_code": code,
+        "search_cpu_s": search_cpu,
+        "search_output_bytes": len(written),
+    }
 
 
 def probe_connectivity() -> dict:
@@ -184,6 +211,7 @@ def probe_oracle() -> dict:
 
 def main() -> int:
     report = {
+        "parse": probe_parse(),
         "connectivity": probe_connectivity(),
         "search": probe_search(),
         "decide": probe_decide(),

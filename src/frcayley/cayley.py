@@ -4,6 +4,7 @@ integrality, adjacency matrices, and JSON (de)serialization."""
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from collections import Counter
 from collections.abc import Mapping
@@ -18,11 +19,12 @@ from .cyclotomic import RootOfUnitySum, approx_terms
 from .errors import (
     AsymmetricSetError,
     DisconnectedGraphWarning,
+    InvalidGroupError,
     SpecFormatError,
     ZeroInSetError,
 )
-from .groups import Element, FiniteAbelianGroup, make_group
-from .ioutil import _json_int_list, _json_int_rows, _json_object
+from .groups import Element, FiniteAbelianGroup, make_group, units_mod
+from .ioutil import _json_int_list, _json_int_rows, _json_list, _json_object
 
 
 @dataclass(frozen=True)
@@ -46,20 +48,33 @@ class ConnectionSet:
 def validate_connection_set(
     raw: Iterable[Sequence[int]], group: FiniteAbelianGroup
 ) -> ConnectionSet:
-    """Validate, reduce, deduplicate, and sort a connection set.
+    """Validate, deduplicate, and sort a connection set of reduced elements.
 
-    Rejects the zero element and any element whose inverse is missing."""
+    Rejects a coordinate out of range, the zero element and any element
+    whose inverse is missing."""
+    zero = group.zero
     seen: set[Element] = set()
     for coords in raw:
         g = group.require_element(tuple(coords))
-        if g == group.zero:
-            raise ZeroInSetError("the connection set must not contain the identity")
         seen.add(g)
-    for g in seen:
-        if group.neg(g) not in seen:
-            raise AsymmetricSetError(
-                f"element {g} is in the set but its inverse {group.neg(g)} is not"
-            )
+        if g == zero:
+            break  # refused below, before any later row is read
+    return _closed_set(group, seen)
+
+
+def _closed_set(group: FiniteAbelianGroup, seen: set[Element]) -> ConnectionSet:
+    # The set-level checks of a set of reduced elements, then the sort.
+    if group.zero in seen:
+        raise ZeroInSetError("the connection set must not contain the identity")
+    # the inverses of the whole set, negated one coordinate at a time
+    cols = zip(zip(*seen), group.orders)
+    if set(zip(*([-c % m for c in col] for col, m in cols))) != seen:
+        neg = group.neg
+        for g in seen:
+            if neg(g) not in seen:
+                raise AsymmetricSetError(
+                    f"element {g} is in the set but its inverse {neg(g)} is not"
+                )
     return ConnectionSet(tuple(sorted(seen)))
 
 
@@ -94,10 +109,12 @@ class CayleyGraph:
 
         When d is 1, 2, 3, 4 or 6, phi(d) <= 2 and the units of Z_d are +-1,
         so the orbit is {s, -s}, already in the set by
-        validate_connection_set: it is recorded without a walk."""
+        validate_connection_set: it is recorded without a walk.  The units
+        of each other d are listed once per call."""
         G = self.group
         members = set(self.connection.elements)
         seen: set[Element] = set()
+        units_of: dict[int, list[int]] = {}
         reps = []
         for s in self.connection:
             if s in seen:
@@ -107,10 +124,18 @@ class CayleyGraph:
                 if d > 2:
                     seen.add(G.neg(s))
             else:
-                for _, t in G.unit_multiples(s):
-                    if t not in members:
+                units = units_of.get(d)
+                if units is None:
+                    # A set that is no union of orbits is most often refused
+                    # here, on one multiple, before the units are listed.
+                    k = next(k for k in range(2, d) if math.gcd(k, d) == 1)
+                    if G.scale(k, s) not in members:
                         return None
-                    seen.add(t)
+                    units = units_of[d] = units_mod(d)
+                orbit = set(G.scale_all(units, s))
+                if not orbit <= members:
+                    return None
+                seen |= orbit
             reps.append((s, d))
         return tuple(reps)
 
@@ -121,13 +146,18 @@ def make_graph(
     """Build a Cayley graph, warning when the connection set does not
     generate the whole group."""
     group = make_group(orders)
-    conn = validate_connection_set(connection, group)
+    return _checked_graph(group, validate_connection_set(connection, group))
+
+
+def _checked_graph(group: FiniteAbelianGroup, conn: ConnectionSet) -> CayleyGraph:
+    # Called straight from make_graph and graph_from_json, so that the
+    # warning names the line that called them.
     graph = CayleyGraph(group, conn)
     if not graph.connected:
         warnings.warn(
             "connection set does not generate the group; the graph is disconnected",
             DisconnectedGraphWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return graph
 
@@ -258,7 +288,12 @@ def graph_to_json(graph: CayleyGraph) -> dict:
 
 
 def graph_from_json(data: dict | str) -> CayleyGraph:
-    """Parse the wire form; coordinates are reduced into canonical range."""
+    """Parse the wire form; coordinates are reduced into canonical range.
+
+    Each row is read once: type-checked, length-checked and reduced straight
+    into the set.  A document with several faults is refused for the first
+    of: a wrong-typed row, the group, a short or long row (the first), the
+    zero element, an asymmetric element."""
     if isinstance(data, str):
         try:
             data = json.loads(data)
@@ -266,11 +301,27 @@ def graph_from_json(data: dict | str) -> CayleyGraph:
             raise SpecFormatError(f"invalid JSON: {exc}") from exc
     doc = _json_object(data, "graph document", ("group", "set"))
     orders = _json_int_list(doc["group"], "group")
-    rows = _json_int_rows(doc["set"], "set")
-    group = make_group(orders)
+    rows = _json_list(doc["set"], "set")
+    try:
+        group = make_group(orders)
+    except InvalidGroupError:
+        _json_int_rows(rows, "set")  # a wrong-typed row is reported first
+        raise
+    orders = group.orders
+    ints = (int,) * len(orders)
+    seen: set[Element] = set()
+    add = seen.add
+    bad = None
     for row in rows:
-        if len(row) != len(orders):
-            raise SpecFormatError(
-                f"coordinate row {row} has {len(row)} entries, expected {len(orders)}"
-            )
-    return make_graph(orders, [group.reduce_coords(row) for row in rows])
+        if type(row) is not list or tuple(map(type, row)) != ints:
+            row = _json_int_list(row, "set")  # raises unless a list of ints
+            if len(row) != len(orders):
+                if bad is None:
+                    bad = row
+                continue
+        add(tuple(map(int.__mod__, row, orders)))
+    if bad is not None:
+        raise SpecFormatError(
+            f"coordinate row {bad} has {len(bad)} entries, expected {len(orders)}"
+        )
+    return _checked_graph(group, _closed_set(group, seen))

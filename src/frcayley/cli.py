@@ -37,7 +37,14 @@ from .engine import FRWitness, WitnessKind, decide_fr, search_all, search_classe
 from .errors import FrCayleyError, HypothesisViolationError, SpecFormatError
 from .families import build_from_spec, engine_agrees
 from .groups import make_group
-from .ioutil import _json_int_list, _json_object, dump_json, int_list_texts, splice_records
+from .ioutil import (
+    _json_int_list,
+    _json_object,
+    append_int_rows,
+    dump_json,
+    int_list_texts,
+    splice_records,
+)
 from .oracle import verify_fr
 
 EXIT_OK = 0
@@ -78,18 +85,15 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         eigen = spec.by_rank.tolist()
     else:
         eigen = [spec.approx(z).real for z in graph.group.elements()]
-    _emit(
-        args,
-        dump_json(
-            {
-                "group": list(graph.group.orders),
-                "set": [list(s) for s in graph.connection],
-                "degree": graph.degree,
-                "integral": spec.is_integral,
-                "eigenvalues": eigen,
-            }
-        ),
+    head = dump_json(
+        {
+            "group": list(graph.group.orders),
+            "degree": graph.degree,
+            "integral": spec.is_integral,
+            "eigenvalues": eigen,
+        }
     )
+    _emit(args, append_int_rows(head, "set", graph.connection.elements))
     return EXIT_OK
 
 
@@ -106,13 +110,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
             del body["a"]
         bodies.append(body)
     found = any(body is not None and body["kind"] == WitnessKind.FR.value for body in bodies)
-    head = dump_json(
-        {
-            "group": list(graph.group.orders),
-            "set": [list(s) for s in graph.connection],
-            "fr_found": found,
-        }
-    )
+    head = dump_json({"group": list(graph.group.orders), "fr_found": found})
+    head = append_int_rows(head, "set", graph.connection.elements)
     # The involutions are the product of the coordinate choices less its
     # first element, zero.  "certificates" sorts before the other keys, and
     # "a" before the body's.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -33,13 +34,19 @@ def units_mod(e: int) -> list[int]:
 MAX_GROUP_ORDER = 1 << 20
 
 
-def _has_full_rank_mod(rows: Iterable[Sequence[int]], cols: Sequence[int], p: int) -> bool:
+def _has_full_rank_mod(rows: Sequence[Sequence[int]], cols: Sequence[int], p: int) -> bool:
     """True iff the given columns of rows, reduced mod the prime p, span
-    F_p^len(cols).  Gaussian elimination that stops at full rank."""
+    F_p^len(cols).  Gaussian elimination over the rows in order, each
+    distinct reduced vector tried once, that stops at full rank."""
     basis: dict[int, list[int]] = {}  # pivot position -> row, pivot 1, zero before it
     width = len(cols)
-    for v in {tuple(g[i] % p for i in cols) for g in rows}:
-        v = list(v)
+    tried: set[tuple[int, ...]] = set()
+    # the reduced rows in order, each made when it is reached
+    columns = (map(operator.itemgetter(i), rows) for i in cols)
+    for v in zip(*(map(operator.mod, col, itertools.repeat(p)) for col in columns)):
+        if v in tried:
+            continue
+        tried.add(v)
         for j in range(width):
             c = v[j]
             if c == 0:
@@ -152,15 +159,22 @@ class FiniteAbelianGroup:
         return total % e
 
     def element_order(self, g: Element) -> int:
-        return math.lcm(*(m // math.gcd(m, c) for c, m in zip(g, self.orders)))
+        """Order of g: e // gcd(e, w_1 c_1, ..., w_r c_r) with e the exponent
+        and w_i = e / m_i, as c -> w_i c embeds Z_{m_i} in Z_e."""
+        e = self.exponent
+        return e // math.gcd(e, *map(operator.mul, self._char_weights, g))
 
     def unit_multiples(self, g: Element) -> Iterator[tuple[int, Element]]:
         """(k, k g) for every unit k of Z_d, d = ord(g), increasing in k:
         the unit orbit of g, starting at g itself."""
         d = self.element_order(g)
-        for k in range(1, max(d, 2)):
-            if math.gcd(k, d) == 1:
-                yield k, self.scale(k, g)
+        units = units_mod(d) if d > 1 else [1]
+        return zip(units, self.scale_all(units, g))
+
+    def scale_all(self, scalars: Sequence[int], g: Element) -> Iterator[Element]:
+        """scale(k, g) for each k in scalars, in that order, built one
+        coordinate at a time."""
+        return zip(*([k * c % m for k in scalars] for c, m in zip(g, self.orders)))
 
     def involution_choices(self) -> list[tuple[int, ...]]:
         """Per factor, the coordinates of the g with g + g = 0: 0 and m/2
@@ -191,7 +205,7 @@ class FiniteAbelianGroup:
         factors whose order p divides.  So gens generate G exactly when, for
         every prime p | n, their coordinates on those factors, mod p, have
         rank r_p.  Cost O(|gens| * r^2) per prime."""
-        rows = [tuple(g) for g in gens]
+        rows = list(gens)
         return all(_has_full_rank_mod(rows, cols, p) for p, cols in self._frattini_columns)
 
     def subgroup_generated(self, gens: Iterable[Element]) -> set[Element]:

@@ -128,6 +128,21 @@ def int_list_texts(choices: Sequence[Sequence[int]]) -> list[str]:
     return texts if choices else ["[]"]
 
 
+def append_int_rows(text: str, key: str, rows: Sequence[Sequence[int]]) -> str:
+    """The canonical text of {**rest, key: [list(r) for r in rows]}, given
+    text = dump_json(rest) for a non-empty rest whose keys all sort before
+    key, and non-empty rows of ints (a connection set's elements).  Each
+    coordinate is written by int.__repr__, with no per-row type check."""
+    # the list sits one indent deep, its rows two, their coordinates three
+    if rows:
+        sep = ",\n      "
+        body = "\n    ],\n    [\n      ".join(sep.join(map(int.__repr__, r)) for r in rows)
+        listed = "[\n    [\n      " + body + "\n    ]\n  ]"
+    else:
+        listed = "[]"
+    return "".join([text[:-3], ",\n  ", encode_basestring(key), ": ", listed, "\n}\n"])
+
+
 def _opening(key: str, newline: str) -> str:
     # An object's text up to its first value, for an object at the indent
     # `newline`; the text of the rest of it goes on from its own "{".

@@ -58,6 +58,13 @@ class TestValidateConnectionSet:
         with pytest.raises(ZeroInSetError):
             validate_connection_set([(0, 0), (1, 0)], g)
 
+    def test_rejects_zero_before_a_later_bad_row(self):
+        g = make_group([2, 3])
+        with pytest.raises(ZeroInSetError):
+            validate_connection_set([(1, 0), (0, 0), (0, 7), (1,)], g)
+        with pytest.raises(ValueError, match="not a residue mod 3"):
+            validate_connection_set([(1, 0), (0, 7), (0, 0)], g)
+
     def test_rejects_asymmetric_and_names_offender(self):
         g = make_group([9])
         with pytest.raises(AsymmetricSetError, match=r"\(1,\)"):
@@ -476,6 +483,16 @@ class TestConnectivity:
         with pytest.warns(DisconnectedGraphWarning):
             make_graph([2, 3], [(0, 1), (0, 2)])
 
+    @pytest.mark.parametrize(
+        "read",
+        [lambda doc: make_graph(doc["group"], doc["set"]), graph_from_json],
+        ids=["make_graph", "graph_from_json"],
+    )
+    def test_disconnected_warning_names_the_caller(self, read):
+        with pytest.warns(DisconnectedGraphWarning) as record:
+            read({"group": [2, 3], "set": [[0, 1], [0, 2]]})
+        assert [w.filename for w in record] == [__file__]
+
     def test_make_graph_quiet_when_connected(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -532,6 +549,69 @@ class TestJson:
     def test_rejects_non_list_group(self):
         with pytest.raises(SpecFormatError):
             graph_from_json(json.dumps({"group": "23", "set": []}))
+
+    # A document with several faults is refused for the first of: a
+    # wrong-typed row, the group, a short or long row, the zero element, an
+    # asymmetric element.
+    @pytest.mark.parametrize(
+        "doc, error, message",
+        [
+            (
+                {"group": [1, 3], "set": [[0, 1], [0, True]]},
+                SpecFormatError,
+                "field 'set' must hold integers, got True",
+            ),
+            (
+                {"group": [2048, 1024], "set": [[0, 1], [0, 1.5]]},
+                SpecFormatError,
+                "field 'set' must hold integers, got 1.5",
+            ),
+            (
+                {"group": [1, 3], "set": [[0, 1], [0]]},
+                fr.InvalidGroupError,
+                "cyclic factor order must be an integer >= 2, got 1",
+            ),
+            (
+                {"group": [2048, 1024], "set": [[0, 1], [0]]},
+                fr.InvalidGroupError,
+                "group order exceeds the ceiling of 1048576 elements",
+            ),
+            (
+                {"group": [2, 3], "set": [[0], [0, True]]},
+                SpecFormatError,
+                "field 'set' must hold integers, got True",
+            ),
+            (
+                {"group": [2, 3], "set": [[0, 0], [0], [0, 1, 2]]},
+                SpecFormatError,
+                "coordinate row [0] has 1 entries, expected 2",
+            ),
+            (
+                {"group": [2, 5], "set": [[0, 1], [1, 7], [0, 5]]},
+                ZeroInSetError,
+                "the connection set must not contain the identity",
+            ),
+            (
+                {"group": [3, 100], "set": [[0, 37], [1, 3], [2, 50]]},
+                AsymmetricSetError,
+                "element (2, 50) is in the set but its inverse (1, 50) is not",
+            ),
+        ],
+        ids=[
+            "bad-group-then-bool",
+            "ceiling-then-float",
+            "bad-group-then-short",
+            "ceiling-then-short",
+            "short-then-bool",
+            "zero-then-short-then-long",
+            "asymmetric-then-zero",
+            "three-asymmetric",
+        ],
+    )
+    def test_first_fault_is_reported(self, doc, error, message):
+        with pytest.raises(error) as caught:
+            graph_from_json(doc)
+        assert str(caught.value) == message
 
 
 @given(st.data())

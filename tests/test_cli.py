@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import frcayley as fr
 from frcayley import decide_fr, graph_to_json, make_graph
 from frcayley.cli import build_parser, main
-from frcayley.ioutil import dump_json, int_list_texts, splice_records
+from frcayley.ioutil import append_int_rows, dump_json, int_list_texts, splice_records
 from conftest import BENT4_SUPPORT, PRISM_SET, UNITS_9, UNITS_SET
 from helpers import random_unit_closed_set
 
@@ -562,6 +562,58 @@ class TestDeterminism:
         expected = [record_field_text(list(c)) for c in itertools.product(*choices)]
         assert int_list_texts(choices) == expected
 
+    @given(
+        st.dictionaries(
+            st.text(max_size=3).filter(lambda key: key < "set"),
+            JSON_DOCUMENTS,
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(1, 4).flatmap(
+            lambda r: st.lists(
+                st.tuples(*[st.integers(0, 2**40) | st.integers(10**6, 10**7)] * r),
+                max_size=6,
+            )
+        ),
+    )
+    @settings(max_examples=200)
+    def test_appended_int_rows_are_the_indented_sorted_json_text(self, rest, rows):
+        # one-factor rows, the edgeless set and coordinates >= 10^6 included
+        text = json.dumps(rest, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        doc = {**rest, "set": [list(r) for r in rows]}
+        expected = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert append_int_rows(text, "set", rows) == expected
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            pytest.param(command, doc, id=f"{command}-{name}")
+            for command in ("spectrum", "search")
+            for name, doc in [
+                ("integral", graph_doc([2, 9], UNITS_SET)),
+                ("non-integral", {"group": [7], "set": [[1], [6]]}),
+                ("edgeless", {"group": [2, 3], "set": []}),
+            ]
+        ]
+        # non-integral, so search answers from S alone at the order ceiling
+        + [
+            pytest.param(
+                "search",
+                {"group": [1048576], "set": [[1000001], [48575]]},
+                id="search-large-coordinates",
+            )
+        ],
+    )
+    def test_set_echo_is_the_indented_sorted_json_text(self, capsys, tmp_path, command, doc):
+        path = write_json(tmp_path, "doc.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", fr.DisconnectedGraphWarning)
+            code, out, _ = run(capsys, [command, path])
+        assert code in (0, 1)
+        parsed = json.loads(out)
+        assert parsed["set"] == sorted(parsed["set"])
+        assert out == json.dumps(parsed, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
 
 def record_field_text(value) -> str:
     """The JSON text of value as a field of a splice_records record, three
@@ -753,6 +805,67 @@ class TestPipelineClosure:
 
 UNITS_DOC = graph_doc([2, 9], UNITS_SET)
 UNITS_FN = {"group": [9], "values": [0, 1, 1, 0, 1, 1, 0, 1, 1]}
+
+
+class TestFirstFaultOfTheGraphSpec:
+    """A graph spec with several faults exits on the first of: a
+    wrong-typed row (2), the group (3), a short or long row (2), the zero
+    element (3), an asymmetric element (3), with the same one line on
+    stderr from every command that reads it."""
+
+    @pytest.mark.parametrize(
+        "doc, code, line",
+        [
+            (
+                {"group": [1, 3], "set": [[0, 1], [2, 2], [0, True]]},
+                2,
+                "error: field 'set' must hold integers, got True",
+            ),
+            (
+                {"group": [2048, 1024], "set": [[0, 1], [0]]},
+                3,
+                "error: group order exceeds the ceiling of 1048576 elements",
+            ),
+            (
+                {"group": [2, 3], "set": [[0, 1], [1], [0, 2], [False, 1]]},
+                2,
+                "error: field 'set' must hold integers, got False",
+            ),
+            (
+                {"group": [2, 3], "set": [[0, 1], [1, 0, 0], [0, 2], [1]]},
+                2,
+                "error: coordinate row [1, 0, 0] has 3 entries, expected 2",
+            ),
+            (
+                {"group": [2, 5], "set": [[0, 1], [0, 2], [2, -5], [0, 4]]},
+                3,
+                "error: the connection set must not contain the identity",
+            ),
+            (
+                {"group": [4, 9], "set": [[1, 2], [3, 7], [0, 4], [2, 0]]},
+                3,
+                "error: element (0, 4) is in the set but its inverse (0, 5) is not",
+            ),
+            (
+                {"group": [100], "set": [[37], [3]]},
+                3,
+                "error: element (3,) is in the set but its inverse (97,) is not",
+            ),
+        ],
+        ids=[
+            "bad-group-then-bool",
+            "ceiling-then-short",
+            "short-then-bool",
+            "long-then-short",
+            "zero-among-asymmetric",
+            "two-asymmetric",
+            "two-asymmetric-cyclic",
+        ],
+    )
+    @pytest.mark.parametrize("argv", [["spectrum"], ["search"], ["check", "--a", "1,0"]])
+    def test_exit_code_and_message(self, capsys, tmp_path, doc, code, line, argv):
+        path = write_json(tmp_path, "doc.json", doc)
+        assert run(capsys, [argv[0], path, *argv[1:]]) == (code, "", line + "\n")
 
 
 class TestWrongTypedFields:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import frcayley as fr
 from frcayley import InvalidGroupError, RootOfUnitySum, make_group, units_mod
-from frcayley.groups import MAX_GROUP_ORDER
+from frcayley.groups import MAX_GROUP_ORDER, _has_full_rank_mod
 
 # Small random groups for property tests: one to three cyclic factors.
 group_orders = st.lists(st.integers(min_value=2, max_value=9), min_size=1, max_size=3)
@@ -172,6 +172,28 @@ class TestElementOrder:
                 assert g.scale(divisor, x) != g.zero
 
 
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(min_value=2, max_value=30), min_size=1, max_size=4), st.data())
+    def test_one_gcd_is_the_lcm_of_the_factor_orders(self, orders, data):
+        g = make_group(orders)
+        x = data.draw(
+            st.one_of(st.just(g.zero), st.tuples(*(st.integers(0, m - 1) for m in orders)))
+        )
+        expected = math.lcm(*(m // math.gcd(m, c) for c, m in zip(x, orders)))
+        assert g.element_order(x) == expected
+
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(min_value=2, max_value=30), min_size=1, max_size=4), st.data())
+    def test_unit_multiples_are_the_scaled_units(self, orders, data):
+        g = make_group(orders)
+        x = data.draw(
+            st.one_of(st.just(g.zero), st.tuples(*(st.integers(0, m - 1) for m in orders)))
+        )
+        d = g.element_order(x)
+        expected = [(k, g.scale(k, x)) for k in range(1, max(d, 2)) if math.gcd(k, d) == 1]
+        assert list(g.unit_multiples(x)) == expected
+
+
 class TestInvolutions:
     def test_unique_involution(self):
         assert make_group([2, 9]).involutions() == [(1, 0)]
@@ -261,6 +283,42 @@ class TestIsGeneratedBy:
         g = make_group([4, 4])
         assert not g.is_generated_by([(1, 1), (0, 2), (2, 2)])
         assert g.is_generated_by([(1, 1), (0, 1)])
+
+    def test_one_vector_mod_p_repeated(self):
+        # mod 2 every row is (1, 0) on the even factors Z4 and Z6: rank 1 of 2
+        g = make_group([4, 6, 5])
+        rows = [(1 + 2 * (j % 2), 2 * (j % 3), j % 5) for j in range(60)]
+        for gens in (rows, rows + [(0, 1, 0)], rows + [(0, 3, 0)] * 5 + [(0, 1, 0)]):
+            assert g.is_generated_by(gens) == (len(g.subgroup_generated(gens)) == g.n)
+        assert not g.is_generated_by(rows)
+        assert g.is_generated_by(rows + [(0, 3, 0)] * 5 + [(0, 1, 0)])
+
+    def test_full_rank_only_at_the_last_row(self):
+        # the rows of family A on Z2 x Z9 x Z5, sorted: (1, 0, 0) comes last
+        # and alone reaches the Z2 factor
+        g = make_group([2, 9, 5])
+        rows = sorted([(0, u, x) for u in units_mod(9) for x in range(5)] + [(1, 0, 0)])
+        assert rows[-1] == (1, 0, 0)
+        assert g.is_generated_by(rows) and len(g.subgroup_generated(rows)) == g.n
+        assert not g.is_generated_by(rows[:-1])
+        assert len(g.subgroup_generated(rows[:-1])) == g.n // 2
+
+    def test_rank_stops_at_full_rank(self):
+        class Reads(list):
+            # a row list that fails when read past its first `limit` rows
+            def __init__(self, rows, limit):
+                super().__init__(rows)
+                self.limit = limit
+
+            def __iter__(self):
+                for i, row in enumerate(list.__iter__(self)):
+                    if i >= self.limit:
+                        raise AssertionError(f"row {i} read after full rank")
+                    yield row
+
+        rows = [(1, 0), (1, 0), (0, 1), (1, 1)] + [(0, 0)] * 100
+        assert _has_full_rank_mod(Reads(rows, 3), (0, 1), 2)
+        assert not _has_full_rank_mod(Reads(rows[:2] + rows[4:], 200), (0, 1), 2)
 
     @settings(max_examples=300)
     @given(

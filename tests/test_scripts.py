@@ -33,6 +33,22 @@ def test_script_runs_every_example_and_verifies(name, capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+def test_parse_probe_reads_and_searches(probe):
+    # a smoke test: the keys of the report and the exit code, no timing; no
+    # involution of this graph has FR (the decide probe's is PERIODIC)
+    report = probe.probe_parse()
+    assert set(report) == {
+        "n",
+        "degree",
+        "parse_cpu_s",
+        "search_exit_code",
+        "search_cpu_s",
+        "search_output_bytes",
+    }
+    assert report["n"] == 10**5 and report["degree"] == 40000
+    assert report["search_exit_code"] == 1
+
+
 def test_connectivity_probe_runs_within_a_second(probe):
     start = time.perf_counter()
     report = probe.probe_connectivity()
