@@ -16,8 +16,11 @@ Seven probes, each one run in this process, timed in CPU seconds:
 - cube: search_all on (Z2)^14 and on (Z2)^16 with a seeded random set of
   300 nonzero elements, timed apart from building the graph: 16383 and
   65535 involutions; then decide_fr for the one involution (0, ..., 0, 1),
-  whose class mask is 1; then the whole `fr search -o` on the same graph,
-  run in process, with the size of the document it writes;
+  whose class mask 1 takes the common modulus g0, and for (1, ..., 1), a
+  candidate mask that takes a gcd pass over the fold (on a cube each
+  parity class is one element, so f = 0, and D is nonzero at every unit
+  class); then the whole `fr search -o` on the same graph, run in
+  process, with the size of the document it writes;
 - spectrum: `fr spectrum` on the non-integral Z2 x Z20000 graph with
   S = {(0, 1), (0, -1), (1, 0)} (n = 40000), run in process twice: once
   timed, once under tracemalloc for its peak;
@@ -127,6 +130,8 @@ def probe_cube(t: int, size: int = 300, seed: int = 0) -> dict:
     searched = time.process_time()
     witness = fr.decide_fr(graph, (0,) * (t - 1) + (1,))
     decided = time.process_time()
+    candidate = fr.decide_fr(graph, (1,) * t)
+    decided_candidate = time.process_time()
     with tempfile.TemporaryDirectory() as tmp:
         spec = Path(tmp) / "graph.json"
         out = Path(tmp) / "search.json"
@@ -145,6 +150,8 @@ def probe_cube(t: int, size: int = 300, seed: int = 0) -> dict:
         "search_all_cpu_s": searched - built,
         "decide_kind": None if witness is None else witness.kind.value,
         "decide_fr_cpu_s": decided - searched,
+        "decide_candidate_kind": None if candidate is None else candidate.kind.value,
+        "decide_candidate_fr_cpu_s": decided_candidate - decided,
         "search_exit_code": code,
         "search_cpu_s": cli_cpu,
         "search_output_bytes": len(written),

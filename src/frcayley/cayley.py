@@ -297,7 +297,7 @@ def graph_from_json(data: dict | str) -> CayleyGraph:
     if isinstance(data, str):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise SpecFormatError(f"invalid JSON: {exc}") from exc
     doc = _json_object(data, "graph document", ("group", "set"))
     orders = _json_int_list(doc["group"], "group")

@@ -66,7 +66,7 @@ def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise SpecFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 

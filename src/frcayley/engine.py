@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -106,51 +106,6 @@ def compute_moduli(
     return Moduli(m0, m1, m, reference, d - lam_ref)
 
 
-class InvolutionModulus(NamedTuple):
-    """What a certificate needs of the moduli of one involution, as
-    compute_moduli gives them: m = gcd(m0, m1), the reference element and
-    delta = d - lambda_ref."""
-
-    m: int
-    reference: Element
-    delta: int
-
-
-def involution_moduli(
-    spec: Spectrum, involutions: Sequence[Element]
-) -> list[InvolutionModulus]:
-    """m, reference and delta of compute_moduli(spec, split_by_involution(G,
-    a)) for each involution a, from one fold of the spectrum onto G/2G.
-
-    m(a) is the gcd of F over every class, of D over the even classes of a,
-    and of D[x] - D[r] over its odd classes, and delta = D[r], where r is
-    the class of the reference (see _fold_moduli): O(2^t) numpy per
-    involution after the O(n) fold.  The reference is the unit vector at
-    the last coordinate of supp(a), the lexicographically smallest element
-    of the minus half, as in compute_moduli."""
-    G = spec.group
-    t, D, F = _fold(spec)
-    f = int(np.gcd.reduce(F))
-    evens = [i for i, m in enumerate(G.orders) if m % 2 == 0]
-    classes = np.arange(1 << t)
-    out = []
-    for a in involutions:
-        a = G.require_element(a)
-        if G.element_order(a) != 2:
-            raise NotInvolutionError(f"element {a} does not have order 2")
-        mask = sum(1 << (t - 1 - bit) for bit, i in enumerate(evens) if a[i])
-        r = mask & -mask
-        odd = np.bitwise_count(classes & mask) % 2 == 1
-        delta = int(D[r])
-        m = math.gcd(f, int(np.gcd.reduce(D[~odd])), int(np.gcd.reduce(D[odd] - delta)))
-        if m != 0 and G.n % m != 0:
-            raise ArithmeticError(f"modulus {m} does not divide the group order {G.n}")
-        last = evens[t - r.bit_length()]
-        reference = tuple(int(i == last) for i in range(len(G.orders)))
-        out.append(InvolutionModulus(m, reference, delta))
-    return out
-
-
 def _fold(spec: Spectrum) -> tuple[int, np.ndarray, np.ndarray]:
     """(t, D, F): the integral spectrum folded onto G/2G.
 
@@ -186,62 +141,70 @@ def _fold(spec: Spectrum) -> tuple[int, np.ndarray, np.ndarray]:
     return t, spec.degree - first, np.gcd.reduce(blocks - first[:, None], axis=1)
 
 
+def _mask_moduli(
+    n: int, t: int, D: np.ndarray, F: np.ndarray, mask: Optional[int] = None
+) -> tuple[int, dict[int, int]]:
+    """(g0, exact): from the fold (t, D, F), m(a) is exact[a] at each
+    candidate mask a and g0 at every other one, over the masks 1 .. 2^t - 1
+    or over `mask` alone.
+
+    m(a) = gcd(m0, m1) is the gcd of f = gcd(F), of D over the even classes
+    of a, and of D[x] - D[r] over its odd classes, where r, the lowest set
+    bit of the mask, is the class of the reference and D[r] is delta.  So
+    g0 = gcd(f, g), with g = gcd(D), divides every m(a), and m(a) = f when
+    g = 0.  Otherwise a prime p of m(a) beyond g0 needs q = p^(v_p(g) + 1)
+    to divide f (as it does f = 0), and p is one of _candidate_primes.  The
+    even classes of a form the hyperplane a^perp of G/2G, and q does not
+    divide all of D, so q | m(a) forces {x : q | D[x]} = a^perp: bit i of
+    a is set exactly when q does not divide D[2^i].  Likewise m(a) = 0,
+    possible only when f = 0, forces {x : D[x] = 0} = a^perp.  The gcds,
+    O(2^t), are taken at those few candidates alone, as one gcd of f and
+    of D less delta on the odd classes.  Raises if some m(a) asked for does
+    not divide n."""
+    f = int(np.gcd.reduce(F))
+    g = int(np.gcd.reduce(D))
+    candidates = set()
+    if g:
+        bits = 1 << np.arange(t)
+        unit = D[bits]
+        if f == 0:
+            candidates.add(int(bits[unit != 0].sum()))
+        for p in _candidate_primes(f, D):
+            q = p
+            while g % q == 0:
+                q *= p
+            if f % q == 0:
+                candidates.add(int(bits[unit % q != 0].sum()))
+    masks = range(1, 1 << t) if mask is None else (mask,)
+    exact = {}
+    for a in sorted(a for a in candidates if a in masks):
+        # D less delta on the odd classes of a
+        odd = np.bitwise_count(np.arange(1 << t) & a) & 1
+        exact[a] = math.gcd(f, int(np.gcd.reduce(D - D[a & -a] * odd)))
+    g0 = math.gcd(f, g)
+    # g0 is checked only when some mask asked for takes it
+    found = list(exact.values()) + ([g0] if len(exact) < len(masks) else [])
+    for m in found:
+        if m != 0 and n % m != 0:
+            raise ArithmeticError(f"modulus {m} does not divide the group order {n}")
+    return g0, exact
+
+
 def _fold_moduli(n: int, t: int, D: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """int64 arrays m and delta over every mask 0 .. 2^t - 1 (entry 0
-    unused), from the fold (t, D, F).
-
-    m(a) = gcd(m0, m1) is the gcd of F over every class, of D over the even
-    classes of a, and of D[x] - D[r] over its odd classes, where r, the
-    lowest set bit of the mask, is the class of the reference and D[r] is
-    delta.  So m(a) divides f = gcd(F), and a modulus q with q | f divides
-    m(a) exactly when R = D mod q is 0 on the even classes of a and R[r] on
-    its odd ones.  The even classes form the hyperplane a^perp of G/2G.  If
-    R is not 0 everywhere, a hit forces R[r] != 0, so {x : R[x] = 0} is
-    a^perp exactly, and a has bit i set exactly when R[2^i] != 0: each
-    modulus hits every mask, that one mask, or none.  One row per modulus
-    q: each power p^j that divides f, up to one past v_p(n), of the primes
-    p that can divide some m(a) (_candidate_primes); and when f = 0 the
-    zero test q = 2 max|D| + 1, larger than every |D[x]| and |D[x] - D[r]|,
-    so it divides m(a) exactly when m(a) = 0.  O(2^t) per row.  Raises if
-    some m(a) does not divide n."""
-    f = int(np.gcd.reduce(F))
-    # (p, q) per row, with p = 0 for the zero test
-    rows = [(0, 2 * int(np.abs(D).max()) + 1)] if f == 0 else []
-    for p in _candidate_primes(f, D):
-        q = p
-        while f % q == 0:
-            rows.append((p, q))
-            if n % q:
-                break
-            q *= p
-
+    unused), from the fold (t, D, F): m(a) = g0 but at the candidate masks
+    of _mask_moduli, and delta(a) = D[r] with r the lowest set bit of a.
+    Raises if some m(a) does not divide n."""
+    g0, exact = _mask_moduli(n, t, D, F)
+    m = np.full(1 << t, g0, dtype=np.int64)
+    for a, ma in exact.items():
+        m[a] = ma
     classes = np.arange(1 << t)
-    zero = np.zeros(1 << t, dtype=bool)
-    m = np.ones(1 << t, dtype=np.int64)
-    for p, q in rows:
-        R = D % q
-        if not R.any():
-            hit: slice | int = slice(1, None)  # mask 0 is no involution
-        else:
-            a = sum(1 << i for i in range(t) if R[1 << i])
-            odd = np.bitwise_count(classes & a) % 2 == 1
-            if not a or R[~odd].any() or (R[odd] != R[a & -a]).any():
-                continue
-            hit = a
-        if p == 0:
-            zero[hit] = True
-        elif n % q == 0:
-            m[hit] *= p
-        elif not zero[hit].all():
-            raise ArithmeticError(
-                f"a modulus divisible by {q} does not divide the group order {n}"
-            )
-    m[zero] = 0
     return m, D[classes & -classes]
 
 
 def _candidate_primes(f: int, D: np.ndarray) -> list[int]:
-    """Every prime that divides some m(a) > 0 (see _fold_moduli).
+    """Every prime that divides some m(a) > 0 (see _mask_moduli).
 
     They divide f when f != 0.  When f = 0, let c = D[x] be the first
     nonzero entry and e = D[y] the first outside {0, c}.  A prime p of m(a)
@@ -252,12 +215,16 @@ def _candidate_primes(f: int, D: np.ndarray) -> list[int]:
     where m(a) = 0."""
     if f:
         return list(_factorize(f))
-    nonzero = D[D != 0]
-    if nonzero.size == 0:
+    nonzero = D != 0
+    if not nonzero.any():
         return []
-    c = int(nonzero[0])
-    others = nonzero[nonzero != c]
-    values = [c] if others.size == 0 else [c, int(others[0]), int(others[0]) - c]
+    c = int(D[nonzero.argmax()])
+    others = nonzero & (D != c)
+    if others.any():
+        e = int(D[others.argmax()])
+        values = [c, e, e - c]
+    else:
+        values = [c]
     return sorted({p for v in values for p in _factorize(abs(v))})
 
 
@@ -450,9 +417,7 @@ def _mismatch(field: str) -> SpecFormatError:
     )
 
 
-def decide_fr(
-    graph: CayleyGraph, a: Element, spec: Optional[Spectrum] = None
-) -> Optional[FRWitness]:
+def decide_fr(graph: CayleyGraph, a: Element) -> Optional[FRWitness]:
     """Classify the walk between 0 and the involution a.
 
     Returns None when the question is vacuous or no rational-phase alignment
@@ -462,15 +427,18 @@ def decide_fr(
     edgeless case.  Otherwise returns a witness whose kind is FR, PST, or PERIODIC.
     The canonical witness uses the smallest k achieving the best available
     kind (FR when the valid set is nonempty, else PST, else PERIODIC); that
-    smallest k is always 1."""
+    smallest k is always 1.  m(a) and delta are read at the one mask of a
+    from the fold (_mask_moduli)."""
     G = graph.group
     a = G.require_element(a)
     if G.n % 2 == 1 or G.element_order(a) != 2 or graph.unit_orbits is None:
         return None
-    if spec is None:
-        spec = spectrum(graph)
-    (mod,) = involution_moduli(spec, [a])
-    fields = _witness_fields(spec.degree, mod.m, mod.delta)
+    spec = spectrum(graph)
+    t, D, F = _fold(spec)
+    evens = [c for c, m in zip(a, G.orders) if m % 2 == 0]
+    mask = sum(1 << (t - 1 - bit) for bit, c in enumerate(evens) if c)
+    g0, exact = _mask_moduli(G.n, t, D, F, mask)
+    fields = _witness_fields(spec.degree, exact.get(mask, g0), int(D[mask & -mask]))
     return None if fields is None else FRWitness(a, *fields)
 
 
@@ -507,8 +475,8 @@ class WitnessClasses(NamedTuple):
 
 def search_classes(graph: CayleyGraph) -> WitnessClasses:
     """Classify every involution of the group, as decide_fr does each one,
-    from one spectrum and one fold of it (_fold_moduli: one hyperplane test
-    per modulus, over every mask).
+    from one spectrum and one fold of it (_fold_moduli: g0 at every mask but
+    a few candidates).
 
     The witness fields depend on the involution only through (m, delta),
     and a search has few distinct pairs, so each pair's fields are computed

@@ -133,14 +133,6 @@ class FiniteAbelianGroup:
                 raise ValueError(f"coordinate {c!r} of {tuple(g)!r} is not a residue mod {m}")
         return tuple(g)
 
-    def reduce_coords(self, g: Sequence[int]) -> Element:
-        """Reduce arbitrary integer coordinates mod the factor orders."""
-        if len(g) != len(self.orders):
-            raise ValueError(
-                f"element {tuple(g)!r} has {len(g)} coordinates, group has {len(self.orders)} factors"
-            )
-        return tuple(int(c) % m for c, m in zip(g, self.orders))
-
     def add(self, g: Element, h: Element) -> Element:
         return tuple((a + b) % m for a, b, m in zip(g, h, self.orders))
 
@@ -184,10 +176,6 @@ class FiniteAbelianGroup:
     def involutions(self) -> list[Element]:
         """Nonzero g with g + g = 0, lexicographic; empty iff the order is odd."""
         return [g for g in itertools.product(*self.involution_choices()) if any(g)]
-
-    def units(self) -> list[int]:
-        """Units of Z_exponent (the scalars acting on the group)."""
-        return units_mod(self.exponent)
 
     @cached_property
     def _frattini_columns(self) -> tuple[tuple[int, tuple[int, ...]], ...]:

@@ -21,6 +21,7 @@ from frcayley import (
     FiniteAbelianGroup,
     make_graph,
     support,
+    units_mod,
     validate_connection_set,
 )
 
@@ -74,7 +75,7 @@ def random_unit_closed_set(
     """Random union of unit-multiplication orbits (always integral spectrum,
     and automatically inverse-closed since -1 is a unit)."""
     chosen: set[tuple[int, ...]] = set()
-    units = group.units() or [1]
+    units = units_mod(group.exponent) or [1]
     for g in group.elements():
         if g == group.zero or g in chosen:
             continue

@@ -537,6 +537,10 @@ class TestJson:
         with pytest.raises(SpecFormatError):
             graph_from_json("{not json")
 
+    def test_rejects_nesting_too_deep_to_decode(self):
+        with pytest.raises(SpecFormatError, match="invalid JSON"):
+            graph_from_json("[" * 200000)
+
     def test_rejects_missing_keys(self):
         with pytest.raises(SpecFormatError):
             graph_from_json(json.dumps({"group": [2, 3]}))

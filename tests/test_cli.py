@@ -868,6 +868,41 @@ class TestFirstFaultOfTheGraphSpec:
         assert run(capsys, [argv[0], path, *argv[1:]]) == (code, "", line + "\n")
 
 
+class TestUndecodableFile:
+    """A file that JSON cannot decode, as text or for its depth, is
+    malformed input: exit 2 and one `error:` line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "content, fragment",
+        [
+            (b"[" * 200000, "maximum recursion depth exceeded"),
+            (b'\xff{"group": [2], "set": []}', "can't decode byte 0xff"),
+        ],
+        ids=["nested", "not-utf-8"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "{}"],
+            ["search", "{}"],
+            ["check", "{}", "--a", "1,0"],
+            ["verify", "{}", "{units}"],
+            ["verify", "{units}", "{}"],
+            ["construct", "{}"],
+            ["plateaued", "{}", "--p", "3"],
+        ],
+        ids=["spectrum", "search", "check", "verify-spec", "verify-cert", "construct", "plateaued"],
+    )
+    def test_exit_two_with_one_line(self, capsys, tmp_path, units_spec, content, fragment, argv):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, [a.format(str(path), units=units_spec) for a in argv])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: invalid JSON: ") and err.count("\n") == 1
+        assert fragment in err
+
+
 class TestWrongTypedFields:
     """Each input document is read strictly: a JSON value of the wrong type
     (a bool or float where an integer belongs, a scalar where a list does)

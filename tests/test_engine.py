@@ -29,7 +29,6 @@ from frcayley import (
     compute_moduli,
     decide_fr,
     fr_grid_scan,
-    involution_moduli,
     make_group,
     search_all,
     spectrum,
@@ -218,10 +217,6 @@ class TestDecideFr:
         assert cmath.isclose(w.alpha, 0.25 + 1j * math.sqrt(3) / 4, abs_tol=1e-12)
         assert cmath.isclose(w.beta, 0.75 - 1j * math.sqrt(3) / 4, abs_tol=1e-12)
 
-    def test_precomputed_spectrum_is_honoured(self, units_graph):
-        spec = spectrum(units_graph)
-        assert decide_fr(units_graph, (1, 0), spec) == decide_fr(units_graph, (1, 0))
-
 
 class TestWitnessInvariants:
     def _all_witnesses(self, corpus):
@@ -317,16 +312,15 @@ class TestIntegralityFirst:
 
 
 class TestInvolutionModuli:
-    """The fold onto G/2G gives, for every involution, the m, reference and
-    delta of the per-involution reference compute_moduli(spec,
-    split_by_involution), both from three gcds per involution
-    (involution_moduli) and from one hyperplane test per modulus over every
-    involution at once (_fold_moduli)."""
+    """The fold onto G/2G gives, for every involution, the m and delta of the
+    per-involution reference compute_moduli(spec, split_by_involution), both
+    read one mask at a time, as decide_fr reads them, and over every mask at
+    once (_fold_moduli): g0 = gcd(f, gcd D) but at a few candidate masks."""
 
     @staticmethod
     def reference(spec, involutions):
         mods = [compute_moduli(spec, split_by_involution(spec.group, a)) for a in involutions]
-        return [(mod.m, mod.reference, mod.delta) for mod in mods]
+        return [(mod.m, mod.delta) for mod in mods]
 
     @staticmethod
     def counts(spec):
@@ -335,8 +329,18 @@ class TestInvolutionModuli:
         return list(zip(m[1:].tolist(), delta[1:].tolist()))
 
     @staticmethod
-    def m_and_delta(expected):
-        return [(m, delta) for m, _, delta in expected]
+    def one_mask(spec):
+        t, D, F = engine._fold(spec)
+        out = []
+        for mask in range(1, 1 << t):
+            g0, exact = engine._mask_moduli(spec.group.n, t, D, F, mask)
+            out.append((exact.get(mask, g0), int(D[mask & -mask])))
+        return out
+
+    @staticmethod
+    def candidates(spec):
+        # (g0, exact) over every mask
+        return engine._mask_moduli(spec.group.n, *engine._fold(spec))
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -358,8 +362,8 @@ class TestInvolutionModuli:
         for lam in (spectrum(graph).by_rank, ramanujan_transform(group, orbits), reference):
             spec = Spectrum(group, graph.degree, lam)
             expected = self.reference(spec, invs)
-            assert involution_moduli(spec, invs) == expected, orders
-            assert self.counts(spec) == self.m_and_delta(expected), orders
+            assert self.one_mask(spec) == expected, orders
+            assert self.counts(spec) == expected, orders
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -381,16 +385,16 @@ class TestInvolutionModuli:
         except ArithmeticError as exc:
             assert "does not divide" in str(exc)
             with pytest.raises(ArithmeticError, match="does not divide"):
-                involution_moduli(spec, invs)
+                self.one_mask(spec)
             with pytest.raises(ArithmeticError, match="does not divide"):
                 self.counts(spec)
         else:
-            assert involution_moduli(spec, invs) == expected, (orders, lam)
-            assert self.counts(spec) == self.m_and_delta(expected), (orders, lam)
+            assert self.one_mask(spec) == expected, (orders, lam)
+            assert self.counts(spec) == expected, (orders, lam)
 
     def test_random_cube_of_dimension_13_within_two_seconds(self):
-        # 8191 involutions, decided by one hyperplane test per modulus rather
-        # than one fold pass each
+        # 8191 involutions, g0 at all but a few candidate masks, rather than
+        # one fold pass each
         group = make_group([2] * 13)
         ranks = random.Random(13).sample(range(1, group.n), 200)
         graph = graph_from_set(group, [group.unrank(r) for r in ranks])
@@ -403,8 +407,9 @@ class TestInvolutionModuli:
     @settings(max_examples=120, deadline=None)
     def test_agrees_with_gcds_on_hyperplane_arrays(self, data):
         # D = 0 mod q on the even classes of a (the hyperplane a^perp of
-        # G/2G) and D = c on the odd ones, so the row of q hits a alone;
-        # random arrays seldom do.  Perturbing one class breaks the plane.
+        # G/2G) and D = c on the odd ones, so a power of a prime of q can
+        # divide m(a) alone; random arrays seldom do.  Perturbing one class
+        # breaks the plane.
         t = data.draw(st.integers(min_value=1, max_value=8))
         # two factors from {2, 4, 6} and the rest Z2, so n <= 36 * 2^6
         orders = [data.draw(st.sampled_from([2, 4, 6])) if i < 2 else 2 for i in range(t)]
@@ -428,23 +433,77 @@ class TestInvolutionModuli:
         d = data.draw(st.integers(min_value=-20, max_value=20))
         lam = d - D[x_of] - q * rng.integers(0, 2, size=group.n)
         spec = Spectrum(group, d, lam.astype(np.int64))
-        invs = group.involutions()
-        try:
-            expected = [(mod.m, mod.delta) for mod in involution_moduli(spec, invs)]
-        except ArithmeticError as exc:
-            assert "does not divide" in str(exc)
+        # m(b) and delta by coordinates: every factor is even, so g lies in
+        # the minus half of b when its coordinates on supp(b) have odd sum;
+        # the reference is the first such g in lexicographic (rank) order.
+        elements = list(group.elements())
+        expected = []
+        for b in group.involutions():
+            minus = [sum(c for c, bi in zip(g, b) if bi) % 2 == 1 for g in elements]
+            ref = int(lam[minus.index(True)])
+            m0 = math.gcd(*(d - int(v) for v, odd in zip(lam, minus) if not odd))
+            m1 = math.gcd(*(ref - int(v) for v, odd in zip(lam, minus) if odd))
+            expected.append((math.gcd(m0, m1), d - ref))
+        if any(m and group.n % m for m, _ in expected):
+            with pytest.raises(ArithmeticError, match="does not divide"):
+                self.one_mask(spec)
             with pytest.raises(ArithmeticError, match="does not divide"):
                 self.counts(spec)
         else:
+            assert self.one_mask(spec) == expected, (orders, a, q, D.tolist())
             assert self.counts(spec) == expected, (orders, a, q, D.tolist())
 
-    def test_row_hitting_every_mask_ignores_mask_zero(self):
-        # Z2, d = 3, lambda = [3, -2]: D = [0, 5] and m(1) = 0.  The row of
-        # q = 5 hits every mask, mask 0 included, and 5 does not divide n =
-        # 2; but the only involution has m = 0, so nothing raises.
+    def test_g0_of_no_involution_does_not_raise(self):
+        # Z2, d = 3, lambda = [3, -2]: D = [0, 5], f = 0 and g0 = 5, which
+        # does not divide n = 2.  But the only mask is a candidate (t = 1)
+        # with m(1) = 0, so g0 is the m of no involution and nothing raises.
         spec = Spectrum(make_group([2]), 3, np.array([3, -2], dtype=np.int64))
-        assert self.counts(spec) == [(0, 5)]
-        assert [(mod.m, mod.delta) for mod in involution_moduli(spec, [(1,)])] == [(0, 5)]
+        assert self.candidates(spec) == (5, {1: 0})
+        assert self.counts(spec) == self.one_mask(spec) == [(0, 5)]
+
+    def test_g_zero_gives_f_at_every_mask(self):
+        # Z4 x Z2, d = 4: the first eigenvalue of each class is d, so D = 0,
+        # and m = f = 2 at every mask with no candidate.
+        group = make_group([4, 2])
+        spec = Spectrum(group, 4, np.array([4, 4, 4, 4, 0, 2, -2, 0], dtype=np.int64))
+        assert self.candidates(spec) == (2, {})
+        expected = self.reference(spec, group.involutions())
+        assert expected == [(2, 0)] * 3
+        assert self.one_mask(spec) == self.counts(spec) == expected
+
+    def test_f_zero_with_only_the_zero_candidate(self):
+        # (Z2)^3, one element per class, so f = 0.  D = 1 on the odd classes
+        # of a = 5 and 0 on its even ones: no prime divides some m(b) > 0,
+        # so a_0 = 5, where m = 0, is the only candidate and g0 = 1 elsewhere.
+        group = make_group([2, 2, 2])
+        odd = np.bitwise_count(np.arange(8) & 5) % 2
+        spec = Spectrum(group, 1, (1 - odd).astype(np.int64))
+        assert self.candidates(spec) == (1, {5: 0})
+        expected = self.reference(spec, group.involutions())
+        assert [m for m, _ in expected] == [1, 1, 1, 1, 0, 1, 1]
+        assert self.one_mask(spec) == self.counts(spec) == expected
+
+    def test_one_involution_is_a_candidate(self):
+        # C4 = Cay(Z4, {1, 3}): t = 1, D = [0, 2], F = [4, 0], so g0 = 2 but
+        # q = 4 divides f and names the only mask, where m = 4.
+        graph = quiet_graph([4], [(1,), (3,)])
+        spec = spectrum(graph)
+        assert self.candidates(spec) == (2, {1: 4})
+        assert self.one_mask(spec) == self.counts(spec) == self.reference(spec, [(2,)])
+        assert decide_fr(graph, (2,)).modulus == 4
+
+    def test_two_primes_name_the_same_mask(self):
+        # Z6 x Z6, d = 10: D = 6 on the classes with u odd and 0 on the
+        # others, and each class has one element 36 above the rest, so f =
+        # 36 and g = 6.  q = 4 and q = 9 both name the mask of a = (3, 0),
+        # where m = 36; every other mask has g0 = 6.
+        group = make_group([6, 6])
+        lam = [10 - 6 * (u % 2) + 36 * (u // 2 == 1 and v // 2 == 1) for u, v in group.elements()]
+        spec = Spectrum(group, 10, np.array(lam, dtype=np.int64))
+        assert self.candidates(spec) == (6, {2: 36})
+        expected = self.reference(spec, group.involutions())
+        assert expected == [(6, 0), (36, 6), (6, 0)]
+        assert self.one_mask(spec) == self.counts(spec) == expected
 
     def test_cube_of_dimension_16_fold_within_six_mib(self):
         # 65535 involutions: O(2^t) memory per modulus, no rows x 2^t stack
@@ -468,8 +527,8 @@ class TestInvolutionModuli:
                 continue
             spec = spectrum(graph)
             expected = self.reference(spec, invs)
-            assert involution_moduli(spec, invs) == expected, name
-            assert self.counts(spec) == self.m_and_delta(expected), name
+            assert self.one_mask(spec) == expected, name
+            assert self.counts(spec) == expected, name
 
     def test_decisions_use_neither_split_nor_pairing(self, corpus, monkeypatch):
         expected = [
@@ -487,13 +546,10 @@ class TestInvolutionModuli:
             assert [decide_fr(fresh, a) for a in fresh.group.involutions()] == decided, name
 
     def test_rejects_non_involution_and_non_integral(self, units_graph, cycle5):
-        spec = spectrum(units_graph)
-        with pytest.raises(NotInvolutionError):
-            involution_moduli(spec, [(0, 3)])
-        with pytest.raises(NotInvolutionError):
-            involution_moduli(spec, [(0, 0)])
+        assert decide_fr(units_graph, (0, 3)) is None
+        assert decide_fr(units_graph, (0, 0)) is None
         with pytest.raises(fr.NonIntegralSpectrumError):
-            involution_moduli(spectrum(cycle5), [])
+            engine._fold(spectrum(cycle5))
 
     def test_spectrum_array_is_in_rank_order(self, units_graph, hypercube_q3):
         # units_graph takes the Ramanujan kernel, hypercube_q3 the Walsh one
@@ -530,13 +586,14 @@ def violate(case: str) -> None:
         group = make_group([4])
         if case in ("fold_modulus_cube", "fold_counts_cube"):
             # On (Z2)^2 with a = (1, 0): m0 = gcd(0, 5 - 2) = 3 and m1 = 0.
-            # No class spread is nonzero, so 3 is found from the fold alone,
-            # by the gcds for one involution or by the hyperplane test of the
-            # row q = 3 for all three.
+            # D = [0, 3, 3, 3] and f = 0, so g0 = 3 at every mask but the
+            # candidate 3: mask 2 of a, read alone by decide_fr, and mask 1
+            # of the fold over every mask have m = g0.
             cube = make_group([2, 2])
             spec = Spectrum(cube, 5, np.array([5, 2, 2, 2]))
             if case == "fold_modulus_cube":
-                involution_moduli(spec, [(1, 0)])
+                mp.setattr(engine, "spectrum", lambda graph: spec)
+                decide_fr(quiet_graph([2, 2], [(0, 1), (1, 0)]), (1, 0))
             else:
                 engine._fold_moduli(cube.n, *engine._fold(spec))
         elif case in ("sign", "half"):
@@ -547,7 +604,10 @@ def violate(case: str) -> None:
             if case == "modulus":
                 compute_moduli(spec, split_by_involution(group, (2,)))
             else:
-                involution_moduli(spec, [(2,)])
+                # f = 3, so q = 3 names the candidate mask 1 of a = (2,),
+                # which decide_fr reads alone by three gcds
+                mp.setattr(engine, "spectrum", lambda graph: spec)
+                decide_fr(quiet_graph([4], [(1,), (3,)]), (2,))
         else:
             decide_fr(quiet_graph([2, 3], [(0, 1), (0, 2), (1, 0)]), (1, 0))
 

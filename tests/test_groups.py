@@ -97,10 +97,6 @@ class TestRequireAndReduce:
         with pytest.raises(ValueError):
             g.require_element((0, 9))
 
-    def test_reduce_coords(self):
-        g = make_group([2, 9])
-        assert g.reduce_coords((3, -1)) == (1, 8)
-
 
 class TestCharacterExponent:
     def test_trivial_character(self):

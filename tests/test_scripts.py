@@ -72,15 +72,18 @@ def test_decide_probe(probe):
 
 
 def test_cube_probe_decides_every_involution_from_counts(probe):
-    # 16383 involutions of (Z2)^14 from one hyperplane test per modulus, not a
-    # fold pass each
+    # 16383 involutions of (Z2)^14 from one fold, g0 at all but a few
+    # candidate masks, not a fold pass each
     report = probe.probe_cube(14)
     assert report["n"] == 2**14 and report["degree"] == 300
     assert report["involutions"] == report["certificates"] == 16383
     assert 0 <= report["search_all_cpu_s"] < 2.0
-    # one involution, with class mask 1, from three gcds on the fold
+    # one involution, with class mask 1, which takes g0 from the fold, and
+    # the all-ones one, a candidate mask, which takes a gcd pass over it
     assert report["decide_kind"] == "PERIODIC"
     assert 0 <= report["decide_fr_cpu_s"] < 0.1
+    assert report["decide_candidate_kind"] is not None
+    assert 0 <= report["decide_candidate_fr_cpu_s"] < 0.1
     # and the whole `fr search -o`, which renders each distinct body once
     assert report["search_exit_code"] == 1
     assert report["search_output_certificates"] == 16383
