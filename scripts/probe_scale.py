@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Time the scale probes beyond the benchmark ladder and print them as JSON.
 
-Seven probes, each one run in this process, timed in CPU seconds:
+Seven probes, each one run in this process (the cube probe also starts
+fresh ones), timed in CPU seconds:
 
 - parse: graph_from_json on the loaded JSON of Z2 x Z4 x Z12500 (n = 10^5)
   with the unit-closed set {(a, b, u) : u a unit mod 12500} (|S| = 40000),
@@ -13,14 +14,18 @@ Seven probes, each one run in this process, timed in CPU seconds:
   timed apart from building the graph;
 - decide: decide_fr for the one involution (1, 0, 0) on a fresh copy of
   that graph, timed the same way;
-- cube: search_all on (Z2)^14 and on (Z2)^16 with a seeded random set of
-  300 nonzero elements, timed apart from building the graph: 16383 and
-  65535 involutions; then decide_fr for the one involution (0, ..., 0, 1),
-  whose class mask 1 takes the common modulus g0, and for (1, ..., 1), a
-  candidate mask that takes a gcd pass over the fold (on a cube each
-  parity class is one element, so f = 0, and D is nonzero at every unit
-  class); then the whole `fr search -o` on the same graph, run in
-  process, with the size of the document it writes;
+- cube: search_all on (Z2)^14, (Z2)^16 and (Z2)^18 with a seeded random
+  set of 300 nonzero elements, timed apart from building the graph: 16383,
+  65535 and 262143 involutions; then decide_fr for the one involution
+  (0, ..., 0, 1), whose class mask 1 takes the common modulus g0, and for
+  (1, ..., 1), a candidate mask that takes a gcd pass over the fold (on a
+  cube each parity class is one element, so f = 0, and D is nonzero at
+  every unit class); then the whole `fr search -o` on the same graph, run
+  in process, with the size of the document it writes and its number of
+  certificates; then the same `fr search -o` in a fresh child process,
+  with its CPU seconds and max RSS, beside the max RSS of a child that
+  only imports the program (the interpreter's base), and whether it wrote
+  the same bytes;
 - spectrum: `fr spectrum` on the non-integral Z2 x Z20000 graph with
   S = {(0, 1), (0, -1), (1, 0)} (n = 40000), run in process twice: once
   timed, once under tracemalloc for its peak;
@@ -35,16 +40,20 @@ Usage:
 
 from __future__ import annotations
 
+import filecmp
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
 import frcayley as fr
 from frcayley.cli import main as fr_main
@@ -120,6 +129,37 @@ def probe_decide() -> dict:
     }
 
 
+# Run by a fresh interpreter: runs `python argv` as its own child, then
+# prints that child's exit code, CPU seconds and max RSS in KiB.
+_MEASURE = """
+import resource, subprocess, sys
+code = subprocess.call([sys.executable, *sys.argv[1:]])
+usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(code, usage.ru_utime + usage.ru_stime, usage.ru_maxrss)
+"""
+
+
+def run_child(argv: list[str]) -> tuple[int, float, float]:
+    """(exit code, CPU seconds, max RSS in MiB) of `python argv` in a fresh
+    process that imports the program from this checkout.  Linux carries
+    the peak RSS of the process that starts a child into the child's
+    ru_maxrss across exec, so a small interpreter starts it and reads its
+    RUSAGE_CHILDREN, rather than this process."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MEASURE, *argv], env=env, stdout=subprocess.PIPE, check=True
+    )
+    code, cpu, rss = proc.stdout.split()[-3:]
+    return int(code), float(cpu), int(rss) / 1024
+
+
+def count_certificates(path: Path) -> int:
+    """The records of a search document, read a line at a time: each one
+    opens with its "a" key, which no other object of the document has."""
+    with open(path, encoding="utf-8") as fh:
+        return sum(line == '      "a": [\n' for line in fh)
+
+
 def probe_cube(t: int, size: int = 300, seed: int = 0) -> dict:
     group = fr.make_group([2] * t)
     rows = [group.unrank(r) for r in random.Random(seed).sample(range(1, group.n), size)]
@@ -139,7 +179,12 @@ def probe_cube(t: int, size: int = 300, seed: int = 0) -> dict:
         start_cli = time.process_time()
         code = fr_main(["search", str(spec), "-o", str(out)])
         cli_cpu = time.process_time() - start_cli
-        written = out.read_bytes()
+        written = out.stat().st_size
+        certificates = count_certificates(out)
+        child_out = Path(tmp) / "child.json"
+        child = run_child(["-m", "frcayley", "search", str(spec), "-o", str(child_out)])
+        identical = filecmp.cmp(out, child_out, shallow=False)
+        base = run_child(["-c", "import frcayley.cli"])
     return {
         "n": graph.n,
         "degree": graph.degree,
@@ -154,8 +199,14 @@ def probe_cube(t: int, size: int = 300, seed: int = 0) -> dict:
         "decide_candidate_fr_cpu_s": decided_candidate - decided,
         "search_exit_code": code,
         "search_cpu_s": cli_cpu,
-        "search_output_bytes": len(written),
-        "search_output_certificates": len(json.loads(written)["certificates"]),
+        "search_output_bytes": written,
+        "search_output_certificates": certificates,
+        "child_search_exit_code": child[0],
+        "child_search_cpu_s": child[1],
+        "child_search_maxrss_mib": child[2],
+        "child_search_identical": identical,
+        "child_base_cpu_s": base[1],
+        "child_base_maxrss_mib": base[2],
     }
 
 
@@ -224,6 +275,7 @@ def main() -> int:
         "decide": probe_decide(),
         "cube_14": probe_cube(14),
         "cube_16": probe_cube(16),
+        "cube_18": probe_cube(18),
         "spectrum": probe_spectrum(),
         "oracle": probe_oracle(),
     }

@@ -297,7 +297,9 @@ def graph_from_json(data: dict | str) -> CayleyGraph:
     if isinstance(data, str):
         try:
             data = json.loads(data)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError: a JSONDecodeError, or an integer literal past the
+            # interpreter's digit limit
             raise SpecFormatError(f"invalid JSON: {exc}") from exc
     doc = _json_object(data, "graph document", ("group", "set"))
     orders = _json_int_list(doc["group"], "group")

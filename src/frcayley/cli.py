@@ -19,7 +19,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .boolfn import (
     BooleanClass,
@@ -42,8 +42,7 @@ from .ioutil import (
     _json_object,
     append_int_rows,
     dump_json,
-    int_list_texts,
-    splice_records,
+    involution_records,
 )
 from .oracle import verify_fr
 
@@ -63,19 +62,22 @@ def parse_element(text: str) -> tuple[int, ...]:
 
 
 def _load_json(path: str):
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer
+    # literal past the interpreter's digit limit
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise SpecFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _emit(args: argparse.Namespace, chunks: Iterable[str]) -> None:
+    """Write the chunks, in order, to --output or to stdout."""
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
@@ -93,13 +95,13 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             "eigenvalues": eigen,
         }
     )
-    _emit(args, append_int_rows(head, "set", graph.connection.elements))
+    _emit(args, [append_int_rows(head, "set", graph.connection.elements)])
     return EXIT_OK
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
     graph = graph_from_json(_load_json(args.spec))
-    fields, index = search_classes(graph)
+    fields, low, exact = search_classes(graph)
     # A certificate depends on its involution `a` only through the witness
     # fields of its class: each class body (every key but "a") is built once.
     bodies = []
@@ -114,9 +116,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
     head = append_int_rows(head, "set", graph.connection.elements)
     # The involutions are the product of the coordinate choices less its
     # first element, zero.  "certificates" sorts before the other keys, and
-    # "a" before the body's.
-    values = int_list_texts(graph.group.involution_choices())[1:] if index else []
-    _emit(args, splice_records(head, "certificates", "a", values, bodies, index))
+    # "a" before the body's.  Every class is decided before the first chunk.
+    choices = graph.group.involution_choices()
+    _emit(args, involution_records(head, "certificates", "a", choices, bodies, low, exact))
     return EXIT_OK if found else EXIT_NEGATIVE
 
 
@@ -125,9 +127,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     a = graph.group.require_element(parse_element(args.a))
     witness = decide_fr(graph, a)
     if witness is None:
-        _emit(args, dump_json({"a": list(a), "kind": "ABSENT"}))
+        _emit(args, [dump_json({"a": list(a), "kind": "ABSENT"})])
         return EXIT_NEGATIVE
-    _emit(args, dump_json(witness.to_json()))
+    _emit(args, [dump_json(witness.to_json())])
     return EXIT_OK if witness.kind is WitnessKind.FR else EXIT_NEGATIVE
 
 
@@ -145,7 +147,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         document["engine_agrees"] = agrees
         if not (report.passed and agrees):
             code = EXIT_NEGATIVE
-    _emit(args, dump_json(document))
+    _emit(args, [dump_json(document)])
     return code
 
 
@@ -153,7 +155,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     graph = graph_from_json(_load_json(args.spec))
     witness = FRWitness.from_json(_load_json(args.cert))
     report = verify_fr(graph, witness, tol=args.tol)
-    _emit(args, dump_json(report.to_json()))
+    _emit(args, [dump_json(report.to_json())])
     return EXIT_OK if report.passed else EXIT_NEGATIVE
 
 
@@ -176,7 +178,7 @@ def _cmd_boolfn(args: argparse.Namespace) -> int:
         document["support"] = [list(x) for x in support(f)]
         document["support_size"] = f.weight
         document["eigenvalues"] = [int(v) for v in eigenvalues_from_walsh(f)]
-    _emit(args, dump_json(document))
+    _emit(args, [dump_json(document)])
     return EXIT_OK if cls is not BooleanClass.NEITHER else EXIT_NEGATIVE
 
 
@@ -191,7 +193,7 @@ def _cmd_plateaued(args: argparse.Namespace) -> int:
         "plateaued": level is not None,
         "level": None if level is None else {"k": level[0], "r": level[1]},
     }
-    _emit(args, dump_json(document))
+    _emit(args, [dump_json(document)])
     return EXIT_OK if level is not None else EXIT_NEGATIVE
 
 

@@ -190,19 +190,6 @@ def _mask_moduli(
     return g0, exact
 
 
-def _fold_moduli(n: int, t: int, D: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """int64 arrays m and delta over every mask 0 .. 2^t - 1 (entry 0
-    unused), from the fold (t, D, F): m(a) = g0 but at the candidate masks
-    of _mask_moduli, and delta(a) = D[r] with r the lowest set bit of a.
-    Raises if some m(a) does not divide n."""
-    g0, exact = _mask_moduli(n, t, D, F)
-    m = np.full(1 << t, g0, dtype=np.int64)
-    for a, ma in exact.items():
-        m[a] = ma
-    classes = np.arange(1 << t)
-    return m, D[classes & -classes]
-
-
 def _candidate_primes(f: int, D: np.ndarray) -> list[int]:
     """Every prime that divides some m(a) > 0 (see _mask_moduli).
 
@@ -464,45 +451,73 @@ def _witness_fields(degree: int, m: int, delta: int) -> Optional[tuple]:
 
 
 class WitnessClasses(NamedTuple):
-    """Every involution's canonical witness, grouped by its fields: fields[c]
-    is the (k, modulus, rho0, rho1, valid_k) of class c, or None for no
-    witness, and index[i] is the class of the i-th involution in
-    group.involutions() order."""
+    """Every involution's canonical witness, grouped by its (m, delta) and
+    read from the lowest set bit of its mask (masks 1 .. 2^t - 1 run in
+    group.involutions() order).  fields[c] is the (k, modulus, rho0, rho1,
+    valid_k) of class c, or None for no witness.  The involution of mask a
+    is in class exact[a] when a is a candidate mask of _mask_moduli, and in
+    class low[i] otherwise, with 2^i the lowest set bit of a."""
 
     fields: list[Optional[tuple]]
-    index: list[int]
+    low: list[int]
+    exact: dict[int, int]
+
+    def of(self, mask: int) -> int:
+        """The class of the involution of mask, 1 <= mask < 2^t."""
+        c = self.exact.get(mask)
+        return self.low[(mask & -mask).bit_length() - 1] if c is None else c
 
 
 def search_classes(graph: CayleyGraph) -> WitnessClasses:
     """Classify every involution of the group, as decide_fr does each one,
-    from one spectrum and one fold of it (_fold_moduli: g0 at every mask but
-    a few candidates).
-
-    The witness fields depend on the involution only through (m, delta),
-    and a search has few distinct pairs, so each pair's fields are computed
-    once.  No classes and an empty index for odd group order (no
-    involutions) and for non-integral spectra; both are decided before any
-    spectrum work."""
+    from one spectrum and one fold of it (_mask_classes), with no array
+    over every mask.  Each class's witness fields are computed once.  For
+    odd group order and for non-integral spectra, decided before any
+    spectrum work, every involution is in one class with no witness."""
     G = graph.group
     if G.n % 2 == 1 or graph.unit_orbits is None:
-        return WitnessClasses([], [])
+        return WitnessClasses([None], [0] * [m % 2 for m in G.orders].count(0), {})
     spec = spectrum(graph)
-    m, delta = _fold_moduli(G.n, *_fold(spec))
-    classes: dict[tuple[int, int], int] = {}
-    index = [
-        classes.setdefault(pair, len(classes))
-        for pair in zip(m[1:].tolist(), delta[1:].tolist())
+    pairs, low, exact = _mask_classes(G.n, *_fold(spec))
+    fields = [_witness_fields(spec.degree, m, delta) for m, delta in pairs]
+    return WitnessClasses(fields, low, exact)
+
+
+def _mask_classes(
+    n: int, t: int, D: np.ndarray, F: np.ndarray
+) -> tuple[list[tuple[int, int]], list[int], dict[int, int]]:
+    """(pairs, low, exact) from the fold (t, D, F): the distinct (m, delta)
+    over the masks 1 .. 2^t - 1, and the index into pairs of each lowest
+    set bit and of each candidate mask, as WitnessClasses holds them.
+
+    The witness fields depend on the involution only through (m, delta).
+    m is g0 but at the candidates of _mask_moduli, and delta = D[r] with r
+    the lowest set bit of the mask, so the t unit classes and the
+    candidates give every pair in O(t) beyond the candidates' gcd passes.
+    Raises as _mask_moduli does."""
+    g0, moduli = _mask_moduli(n, t, D, F)
+    pairs: dict[tuple[int, int], int] = {}
+    exact = {a: pairs.setdefault((m, int(D[a & -a])), len(pairs)) for a, m in moduli.items()}
+    # 2^i is the lowest set bit of 2^(t - 1 - i) masks; when each of them is
+    # a candidate, low[i] is never read and takes the class of 2^i
+    taken = [0] * t
+    for a in exact:
+        taken[(a & -a).bit_length() - 1] += 1
+    low = [
+        exact[1 << i] if taken[i] == 1 << (t - 1 - i)
+        else pairs.setdefault((g0, int(D[1 << i])), len(pairs))
+        for i in range(t)
     ]
-    fields = [_witness_fields(spec.degree, mi, di) for mi, di in classes]
-    return WitnessClasses(fields, index)
+    return list(pairs), low, exact
 
 
 def search_all(graph: CayleyGraph) -> list[tuple[Element, FRWitness]]:
     """(a, decide_fr(graph, a)) for every involution a with a witness, in
     group.involutions() order, expanded from search_classes."""
-    fields, index = search_classes(graph)
+    classes = search_classes(graph)
+    fields = classes.fields
     return [
-        (a, FRWitness(a, *fields[c]))
-        for a, c in zip(graph.group.involutions(), index)
-        if fields[c] is not None
+        (a, FRWitness(a, *f))
+        for mask, a in enumerate(graph.group.involutions(), 1)
+        if (f := fields[classes.of(mask)]) is not None
     ]

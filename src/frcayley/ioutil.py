@@ -7,7 +7,7 @@ and raises SpecFormatError naming the field otherwise."""
 from __future__ import annotations
 
 from json.encoder import encode_basestring
-from typing import Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import SpecFormatError
 
@@ -79,53 +79,113 @@ def _render(value, newline: str) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-# the line break and indent of a splice_records record's fields
+# The records of involution_records sit two indents deep, their fields
+# three and the coordinates of their key four: the line break and indent of
+# a record, the separator of two records, the line break and indent of a
+# field, and the separator, line break and indent before a coordinate.
+_RECORD = "\n    "
+_RECORD_SEP = "," + _RECORD
 _FIELD = "\n      "
+_COORD = ",\n        "
 
 
-def splice_records(
-    text: str, field: str, key: str, values: Sequence[str], bodies: Sequence, index: Sequence[int]
-) -> str:
-    """The canonical text of {field: [{key: value_i, **bodies[index[i]]}
-    for each i whose body is not None], **rest}, given text =
-    dump_json(rest) for a non-empty rest whose keys all sort after field.
-    values[i] is the text of value_i as a field of a record, three indents
-    deep (int_list_texts writes such texts).  key must sort before every
-    key of each body, and no body may be empty.
+def involution_records(
+    text: str,
+    field: str,
+    key: str,
+    choices: Sequence[Sequence[int]],
+    bodies: Sequence[Optional[dict]],
+    low: Sequence[int],
+    exact: Mapping[int, int],
+) -> Iterator[str]:
+    """Chunks whose concatenation is the canonical text of {field:
+    [{key: list(c), **bodies[class(c)]} for each c in
+    itertools.product(*choices) but the first, whose body is not None],
+    **rest}, given text = dump_json(rest) for a non-empty rest whose keys
+    all sort after field.  key must sort before every key of each body,
+    and no body may be empty; both are checked here, before any chunk, as
+    is the length of low when some body is not None.
 
-    Each body is rendered once, and each record is three strings joined, so
-    records that share a few bodies cost little more than their values."""
-    # the list sits one indent deep, its records two, their fields three
+    Each factor gives one choice or two, and c has the mask whose bits are
+    the factors with two choices, the first most significant, set where c
+    takes the second; masks then run in product order.  class(c) is
+    exact[mask] where given, and otherwise low[i], with 2^i the lowest set
+    bit of the mask (so len(low) is the number of two-choice factors).
+
+    The two-choice factors split into head bits and a tail of b = t // 2
+    low bits; a one-choice factor goes with the two-choice factor before
+    it, or into the head when there is none.  The 2^b tail texts, each
+    with the body of its lowest bit, are rendered once, and each head
+    value's block of records is one str.join whose separator carries the
+    head's text.  A block that holds an exact mask is assembled record by
+    record.  So the Python work is O(2^(t/2) * (1 + len(exact))), and no
+    chunk holds more than one block."""
     closings = []
     for body in bodies:
         if body is not None:
             if not (body and key < min(body)):
                 raise ValueError(f"key {key!r} must sort before every key of a non-empty body")
-            body = "," + _render(body, "\n    ")[1:]
+            body = "," + _render(body, _RECORD)[1:]
         closings.append(body)
-    opening = _opening(key, "\n    ")
-    items = [
-        opening + value + closing
-        for value, c in zip(values, index)
-        if (closing := closings[c]) is not None
-    ]
-    # one join, so the records' text is copied once more, not three times
-    listed = ["[\n    ", ",\n    ".join(items), "\n  ]"] if items else ["[]"]
-    return "".join([_opening(field, "\n"), *listed, ",", text[1:]])
+    opening = _opening(field, "\n")
+    if closings.count(None) == len(closings):
+        return iter((opening + "[]," + text[1:],))
+    twos = [i for i, c in enumerate(choices) if len(c) == 2]
+    if len(twos) != len(low):
+        raise ValueError(f"{len(twos)} factors give two choices, but low has {len(low)} classes")
+    rest = "," + text[1:]
+    record = _opening(key, _RECORD)
+    return _record_blocks(opening, rest, record, choices, twos, closings, low, exact)
 
 
-def int_list_texts(choices: Sequence[Sequence[int]]) -> list[str]:
-    """The text of list(c) as a field of a splice_records record, for each
-    c in itertools.product(*choices), in that order.  The texts are built
-    one factor at a time, each shared prefix written once, so they cost
-    about two concatenations apiece."""
-    inner = _FIELD + "  "
-    texts = ["[" + inner]
-    for i, coords in enumerate(choices):
-        tail = _FIELD + "]" if i == len(choices) - 1 else "," + inner
-        ends = [int.__repr__(c) + tail for c in coords]
-        texts = [prefix + end for prefix in texts for end in ends]
-    return texts if choices else ["[]"]
+def _record_blocks(opening, rest, record, choices, twos, closings, low, exact) -> Iterator[str]:
+    t = len(low)
+    b = t // 2
+    split = twos[t - b] if b else len(choices)
+    # each head's text: the record's opening and its key's list up to the
+    # tail; each tail's text: the rest of that list
+    heads = [record + "["]
+    for i, coords in enumerate(choices[:split]):
+        ends = [(_COORD if i else _COORD[1:]) + int.__repr__(c) for c in coords]
+        heads = [h + e for h in heads for e in ends]
+    tails = [""]
+    for coords in choices[split:]:
+        ends = [_COORD + int.__repr__(c) for c in coords]
+        tails = [x + e for x in tails for e in ends]
+    tails = [x + _FIELD + "]" for x in tails]
+    # tail 0 takes the class of the head's lowest bit, tail T > 0 that of its own
+    firsts = [None if (c := closings[i]) is None else tails[0] + c for i in low[b:]]
+    others = [None] * (1 << b)
+    for T in range(1, 1 << b):
+        closing = closings[low[(T & -T).bit_length() - 1]]
+        if closing is not None:
+            others[T] = tails[T] + closing
+    shared = [s for s in others if s is not None]
+    by_head: dict[int, list[int]] = {}
+    for mask in exact:
+        by_head.setdefault(mask >> b, []).append(mask)
+
+    yield opening
+    listed = False
+    for head, prefix in enumerate(heads):
+        first = firsts[(head & -head).bit_length() - 1] if head else None
+        if head in by_head:
+            row = [first, *others[1:]]
+            for mask in by_head[head]:
+                T = mask & ((1 << b) - 1)
+                closing = closings[exact[mask]]
+                row[T] = None if closing is None else tails[T] + closing
+            parts = [s for s in row if s is not None]
+        elif first is None:
+            parts = shared
+        else:
+            parts = [first, *shared]
+        if parts:
+            sep = _RECORD_SEP + prefix
+            yield sep if listed else "[" + sep[1:]
+            yield sep.join(parts)
+            listed = True
+    yield ("\n  ]" if listed else "[]") + rest
 
 
 def append_int_rows(text: str, key: str, rows: Sequence[Sequence[int]]) -> str:

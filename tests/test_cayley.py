@@ -541,6 +541,11 @@ class TestJson:
         with pytest.raises(SpecFormatError, match="invalid JSON"):
             graph_from_json("[" * 200000)
 
+    def test_rejects_an_integer_past_the_digit_limit(self):
+        # json.loads raises a bare ValueError for it, not a JSONDecodeError
+        with pytest.raises(SpecFormatError, match="invalid JSON: Exceeds the limit"):
+            graph_from_json('{"group": [2], "set": [[' + "1" * 5000 + "]]}")
+
     def test_rejects_missing_keys(self):
         with pytest.raises(SpecFormatError):
             graph_from_json(json.dumps({"group": [2, 3]}))

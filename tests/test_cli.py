@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import frcayley as fr
 from frcayley import decide_fr, graph_to_json, make_graph
 from frcayley.cli import build_parser, main
-from frcayley.ioutil import append_int_rows, dump_json, int_list_texts, splice_records
+from frcayley.ioutil import append_int_rows, dump_json, involution_records
 from conftest import BENT4_SUPPORT, PRISM_SET, UNITS_9, UNITS_SET
 from helpers import random_unit_closed_set
 
@@ -528,7 +528,7 @@ class TestDeterminism:
         assert dump_json(doc) == expected
 
     @given(
-        st.lists(JSON_DOCUMENTS, max_size=6),
+        st.lists(st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=2), max_size=7),
         st.lists(
             st.one_of(
                 st.none(),
@@ -540,27 +540,58 @@ class TestDeterminism:
         st.data(),
     )
     @settings(max_examples=200)
-    def test_spliced_records_are_the_indented_sorted_json_text(self, values, bodies, data):
-        # Every non-empty key sorts after ""; bodies repeat by index, and a
-        # record whose body is None is left out.
-        index = [data.draw(st.integers(0, len(bodies) - 1)) for _ in values]
-        records = [{"": v, **bodies[c]} for v, c in zip(values, index) if bodies[c] is not None]
-        doc = {"records": records, "rest": bodies}
+    def test_spliced_records_are_the_indented_sorted_json_text(self, choices, bodies, data):
+        # Every non-empty key sorts after ""; bodies repeat by class, a
+        # record whose body is None is left out, and the exact masks fall
+        # anywhere: in the first block, at a tail of 0 or inside a block.
+        t = sum(len(c) == 2 for c in choices)
+        classes = st.integers(0, len(bodies) - 1)
+        low = data.draw(st.lists(classes, min_size=t, max_size=t))
+        exact = {}
+        if t:
+            exact = data.draw(st.dictionaries(st.integers(1, (1 << t) - 1), classes, max_size=4))
+        doc = {"records": records_reference(choices, bodies, low, exact), "rest": bodies}
         expected = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-        texts = [record_field_text(v) for v in values]
-        spliced = splice_records(dump_json({"rest": bodies}), "records", "", texts, bodies, index)
-        assert spliced == expected
+        rest = dump_json({"rest": bodies})
+        chunks = involution_records(rest, "records", "", choices, bodies, low, exact)
+        assert "".join(chunks) == expected
 
     @pytest.mark.parametrize("body", [{}, {"a": 1}, {"A": 1, "b": 2}])
     def test_spliced_key_must_sort_first(self, body):
         with pytest.raises(ValueError, match="must sort before"):
-            splice_records(dump_json({"b": 0}), "a", "a", [record_field_text([1])], [body], [0])
+            involution_records(dump_json({"b": 0}), "a", "a", [(0, 1)], [body], [0], {})
 
-    @given(st.lists(st.lists(st.integers(-(2**70), 2**70), max_size=3), max_size=5))
+    @pytest.mark.parametrize("choices", [[(0, 1)], [(0,), (0, 1)], [(0, 1), (0,), (0, 1), (0, 1)]])
+    def test_low_class_per_two_choice_factor(self, choices):
+        # one low class per factor with two choices, checked before any chunk
+        with pytest.raises(ValueError, match="two choices"):
+            involution_records(dump_json({"b": 0}), "a", "", choices, [{"x": 1}], [0, 0], {})
+
+    @given(st.lists(st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=2), max_size=9))
     @settings(max_examples=200)
-    def test_int_list_texts_are_the_product_in_order(self, choices):
-        expected = [record_field_text(list(c)) for c in itertools.product(*choices)]
-        assert int_list_texts(choices) == expected
+    def test_record_keys_are_the_product_in_order(self, choices):
+        # one class for every record: the keys are the product of the
+        # choices, in itertools.product order, less its first element
+        t = sum(len(c) == 2 for c in choices)
+        chunks = involution_records(dump_json({"b": 0}), "a", "", choices, [{"x": 0}], [0] * t, {})
+        expected = [{"": list(c), "x": 0} for c in itertools.product(*choices)][1:]
+        doc = {"a": expected, "b": 0}
+        expected = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert "".join(chunks) == expected
+
+    @pytest.mark.parametrize("t", [10, 11])
+    def test_records_stream_in_blocks(self, t):
+        # 2^t - 1 records in 2^(t - t // 2) blocks, each one chunk, so no
+        # chunk holds more than a block, plus one separator per block
+        body = {"x": list(range(8))}
+        chunks = list(
+            involution_records(dump_json({"b": 0}), "a", "", [(0, 1)] * t, [body], [0] * t, {})
+        )
+        blocks = 1 << (t - t // 2)
+        assert len(chunks) == 2 * blocks + 2
+        records = json.loads("".join(chunks))["a"]
+        assert len(records) == (1 << t) - 1
+        assert max(map(len, chunks)) < 2 * len("".join(chunks)) / blocks
 
     @given(
         st.dictionaries(
@@ -615,12 +646,22 @@ class TestDeterminism:
         assert out == json.dumps(parsed, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def record_field_text(value) -> str:
-    """The JSON text of value as a field of a splice_records record, three
-    indents deep: json.dumps of it with each line break indented six more
-    spaces (a JSON string holds no raw line break)."""
-    text = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
-    return text.replace("\n", "\n      ")
+def records_reference(choices, bodies, low, exact) -> list[dict]:
+    """The records involution_records writes, one element of the product
+    of the choices at a time: its mask has a bit per factor with two
+    choices, the first most significant, and its class is exact[mask], or
+    low[i] with 2^i the lowest set bit of the mask."""
+    records = []
+    for picks in itertools.product(*(range(len(c)) for c in choices)):
+        mask = 0
+        for c, j in zip(choices, picks):
+            if len(c) == 2:
+                mask = 2 * mask + j
+        if mask:
+            body = bodies[exact.get(mask, low[(mask & -mask).bit_length() - 1])]
+            if body is not None:
+                records.append({"": [c[j] for c, j in zip(choices, picks)], **body})
+    return records
 
 
 def search_reference(doc: dict) -> str:
@@ -681,9 +722,9 @@ FOUR_CLASSES = graph_doc(
 
 
 class TestSearchBytes:
-    """`fr search` renders each distinct certificate body once and splices
-    in `a`; the bytes it writes must be those of json.dumps, to a file and
-    to stdout alike."""
+    """`fr search` renders each distinct certificate body once and writes
+    the records block by block; the bytes it writes must be those of
+    json.dumps, to a file and to stdout alike."""
 
     # name: (graph, kinds of its certificates, number of distinct bodies)
     CASES = {
@@ -720,15 +761,69 @@ class TestSearchBytes:
 
     def test_classes_interleave(self):
         # four (m, delta) classes over seven involutions, two of them
-        # rendering the same body: each record must take its own class's text
+        # rendering the same body: the three lowest bits, and the candidate
+        # mask 5 in the head block 2 (t = 3, one tail bit).  Each record must
+        # take its own class's text.
         graph = fr.graph_from_json(FOUR_CLASSES)
-        fields, index = fr.search_classes(graph)
-        assert index == [0, 1, 0, 2, 3, 1, 0]
-        assert len(fields) == 4 and len(set(fields)) == 2
+        classes = fr.search_classes(graph)
+        assert classes.low == [1, 2, 3] and classes.exact == {5: 0}
+        assert [classes.of(mask) for mask in range(1, 8)] == [1, 2, 1, 3, 0, 2, 1]
+        assert len(classes.fields) == 4 and len(set(classes.fields)) == 2
+        kinds = [c["kind"] for c in json.loads(search_reference(FOUR_CLASSES))["certificates"]]
+        assert kinds[4] == "PST" and kinds.count("PST") == 1
+
+    # (t, ranks of the set, a candidate mask whose body is not its lowest
+    # bit's): one in the first block, one inside a later block, and two at
+    # the record of tail 0 of a block, for t odd and even
+    CANDIDATES = {
+        "first block": (5, [2, 3, 4, 5, 6, 7, 10, 11, 14, 17, 19, 20, 22, 23, 26], 3),
+        "inside a block": (5, [1, 2, 3, 4, 5, 14, 15, 16, 18, 20, 21, 22, 25, 26, 27], 13),
+        "tail 0, t odd": (5, [1, 2, 6, 7, 10, 11, 14, 15, 16, 19, 22, 23, 24, 25, 29], 28),
+        "tail 0, t even": (
+            6, [1, 4, 13, 16, 17, 22, 29, 31, 33, 37, 41, 43, 51, 52, 55, 58, 62, 63], 16,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CANDIDATES)
+    def test_candidate_mask_takes_its_own_body(self, case):
+        t, ranks, mask = self.CANDIDATES[case]
+        group = fr.make_group([2] * t)
+        doc = graph_doc(group.orders, [group.unrank(r) for r in ranks])
+        classes = fr.search_classes(fr.graph_from_json(doc))
+        b = t // 2
+        block, tail = mask >> b, mask & ((1 << b) - 1)
+        assert (block == 0, tail == 0) == (case == "first block", case.startswith("tail 0"))
+        own = classes.fields[classes.exact[mask]]
+        lowest = classes.fields[classes.low[(mask & -mask).bit_length() - 1]]
+        assert own is not None and own != lowest
+        expected = search_reference(doc)
+        assert search_outputs(doc)[1:] == (expected, expected)
+
+    @pytest.mark.parametrize("t", range(1, 13))
+    def test_cubes_of_every_split(self, t):
+        # t // 2 tail bits: every split of the mask into head and tail
+        group = fr.make_group([2] * t)
+        size = min(group.n - 1, 3 * t)
+        ranks = random.Random(t).sample(range(1, group.n), size)
+        doc = graph_doc(group.orders, [group.unrank(r) for r in sorted(ranks)])
+        expected = search_reference(doc)
+        assert len(json.loads(expected)["certificates"]) == group.n - 1
+        code, written, printed = search_outputs(doc)
+        assert written == printed == expected
+
+    @pytest.mark.parametrize("t", [1, 5])
+    def test_edgeless_cube(self, t):
+        # every involution without a witness: an empty list, at any split
+        doc = graph_doc([2] * t, [])
+        expected = search_reference(doc)
+        assert json.loads(expected)["certificates"] == []
+        assert search_outputs(doc) == (1, expected, expected)
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize(
-        "orders", [[2, 3, 4], [6, 5, 2], [4, 9, 8], [2, 2, 6, 3]], ids=str
+        "orders",
+        [[2, 3, 4], [6, 5, 2], [4, 9, 8], [2, 2, 6, 3], [2, 3, 2, 5, 2], [3, 2, 2]],
+        ids=str,
     )
     def test_odd_factors_between_even_ones(self, orders, seed):
         # a-coordinates m/2 > 1 on the even factors, 0 on the odd ones
@@ -869,16 +964,18 @@ class TestFirstFaultOfTheGraphSpec:
 
 
 class TestUndecodableFile:
-    """A file that JSON cannot decode, as text or for its depth, is
-    malformed input: exit 2 and one `error:` line, never a traceback."""
+    """A file that JSON cannot decode, as text, for its depth or for an
+    integer literal past the interpreter's digit limit, is malformed input:
+    exit 2 and one `error:` line naming the file, never a traceback."""
 
     @pytest.mark.parametrize(
         "content, fragment",
         [
             (b"[" * 200000, "maximum recursion depth exceeded"),
             (b'\xff{"group": [2], "set": []}', "can't decode byte 0xff"),
+            (b'{"group": [2], "set": [[' + b"1" * 5000 + b"]]}", "Exceeds the limit"),
         ],
-        ids=["nested", "not-utf-8"],
+        ids=["nested", "not-utf-8", "integer-of-5000-digits"],
     )
     @pytest.mark.parametrize(
         "argv",

@@ -311,11 +311,25 @@ class TestIntegralityFirst:
         assert search_all(graph) == []
 
 
+def fold_moduli(n, t, D, F):
+    """int64 arrays m and delta over every mask 0 .. 2^t - 1 (entry 0
+    unused), from the fold (t, D, F): m(a) = g0 but at the candidate masks
+    of _mask_moduli, and delta(a) = D[r] with r the lowest set bit of a.
+    The per-mask reference that the search classes expand to."""
+    g0, exact = engine._mask_moduli(n, t, D, F)
+    m = np.full(1 << t, g0, dtype=np.int64)
+    for a, ma in exact.items():
+        m[a] = ma
+    classes = np.arange(1 << t)
+    return m, D[classes & -classes]
+
+
 class TestInvolutionModuli:
     """The fold onto G/2G gives, for every involution, the m and delta of the
     per-involution reference compute_moduli(spec, split_by_involution), both
-    read one mask at a time, as decide_fr reads them, and over every mask at
-    once (_fold_moduli): g0 = gcd(f, gcd D) but at a few candidate masks."""
+    read one mask at a time, as decide_fr reads them, and from the classes
+    of the lowest set bits and the candidates (_mask_classes), as search
+    reads them: g0 = gcd(f, gcd D) but at a few candidate masks."""
 
     @staticmethod
     def reference(spec, involutions):
@@ -324,9 +338,17 @@ class TestInvolutionModuli:
 
     @staticmethod
     def counts(spec):
-        # masks 1 .. 2^t - 1 run in group.involutions() order
-        m, delta = engine._fold_moduli(spec.group.n, *engine._fold(spec))
-        return list(zip(m[1:].tolist(), delta[1:].tolist()))
+        # the search classes over masks 1 .. 2^t - 1, in group.involutions()
+        # order, which must also be fold_moduli's arrays
+        n = spec.group.n
+        fold = engine._fold(spec)
+        pairs, low, exact = engine._mask_classes(n, *fold)
+        assert len(low) == fold[0] and len(set(pairs)) == len(pairs)
+        classes = engine.WitnessClasses(pairs, low, exact)
+        expanded = [pairs[classes.of(mask)] for mask in range(1, 1 << fold[0])]
+        m, delta = fold_moduli(n, *fold)
+        assert expanded == list(zip(m[1:].tolist(), delta[1:].tolist()))
+        return expanded
 
     @staticmethod
     def one_mask(spec):
@@ -506,18 +528,19 @@ class TestInvolutionModuli:
         assert self.one_mask(spec) == self.counts(spec) == expected
 
     def test_cube_of_dimension_16_fold_within_six_mib(self):
-        # 65535 involutions: O(2^t) memory per modulus, no rows x 2^t stack
+        # 65535 involutions: O(2^t) memory per candidate pass, and no array
+        # over every mask
         group = make_group([2] * 16)
         ranks = random.Random(0).sample(range(1, group.n), 300)
         graph = graph_from_set(group, [group.unrank(r) for r in ranks])
         fold = engine._fold(spectrum(graph))
         tracemalloc.start()
         try:
-            m, _ = engine._fold_moduli(group.n, *fold)
+            pairs, low, exact = engine._mask_classes(group.n, *fold)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert m.size == group.n
+        assert len(low) == 16 and len(pairs) <= 16 + len(exact)
         assert peak < 6 * 2**20
 
     def test_agrees_with_split_on_corpus(self, corpus):
@@ -595,7 +618,7 @@ def violate(case: str) -> None:
                 mp.setattr(engine, "spectrum", lambda graph: spec)
                 decide_fr(quiet_graph([2, 2], [(0, 1), (1, 0)]), (1, 0))
             else:
-                engine._fold_moduli(cube.n, *engine._fold(spec))
+                engine._mask_classes(cube.n, *engine._fold(spec))
         elif case in ("sign", "half"):
             split_by_involution(group, (2,))
         elif case in ("modulus", "fold_modulus"):

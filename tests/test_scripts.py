@@ -89,6 +89,13 @@ def test_cube_probe_decides_every_involution_from_counts(probe):
     assert report["search_output_certificates"] == 16383
     assert report["search_output_bytes"] > 16383 * 300
     assert 0 <= report["search_cpu_s"] < 1.5
+    # then in a fresh process, which writes the same bytes block by block,
+    # never holding the 7 MiB document: a few MiB above the interpreter's
+    assert report["child_search_exit_code"] == 1
+    assert report["child_search_identical"] is True
+    assert 0 < report["child_base_maxrss_mib"] <= report["child_search_maxrss_mib"]
+    assert report["child_search_maxrss_mib"] < report["child_base_maxrss_mib"] + 6
+    assert 0 < report["child_search_cpu_s"] < 3.0
 
 
 def test_spectrum_probe_is_bounded(probe):
