@@ -8,7 +8,7 @@ must confirm the revival numerically at the requested tolerance.
 Usage:
     python3 scripts/family_sweep.py                 # all variants
     python3 scripts/family_sweep.py --variant A B   # a subset
-    python3 scripts/family_sweep.py --max-order 200 --tol 1e-10
+    python3 scripts/family_sweep.py --tol 1e-10
 """
 
 from __future__ import annotations
@@ -69,13 +69,11 @@ def iter_builds(variants: Sequence[str]) -> Iterable[fr.BuiltFamily]:
         yield fr.build_bent_family(fr.mm_bent(6))
 
 
-def sweep(variants: Sequence[str], max_order: int, tolerance: float) -> list[SweepRow]:
+def sweep(variants: Sequence[str], tolerance: float) -> list[SweepRow]:
     rows = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", fr.DisconnectedGraphWarning)
         for built in iter_builds(variants):
-            if built.graph.n > max_order:
-                continue
             report = fr.verify_fr(built.graph, built.prediction, tol=tolerance)
             rows.append(
                 SweepRow(
@@ -98,11 +96,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--variant", nargs="+", default=list("ABCDE"),
         choices=list("ABCDE"), help="family variants to sweep",
     )
-    parser.add_argument("--max-order", type=int, default=512)
     parser.add_argument("--tol", type=float, default=1e-9)
     args = parser.parse_args(argv)
 
-    rows = sweep(args.variant, args.max_order, args.tol)
+    rows = sweep(args.variant, args.tol)
     width = max(len(r.label) for r in rows) if rows else 8
     print(
         f"{'instance':<{width}}  {'n':>4} {'d':>4} {'N':>4} {'t':>10}  "

@@ -106,10 +106,13 @@ class BooleanFunction:
             value = int(hex_table, 16)
         except ValueError:
             raise SpecFormatError(f"not a hex string: {hex_table!r}") from None
-        return cls(n, tuple((value >> j) & 1 for j in range(bits)))
+        # the binary digits, most significant first, read backwards; the
+        # mask keeps the low bits of a negative value in two's complement
+        digits = format(value & ((1 << bits) - 1), f"0{bits}b")
+        return cls(n, tuple(map(int, reversed(digits))))
 
     def to_hex(self) -> str:
-        value = sum(v << j for j, v in enumerate(self.table))
+        value = int(bytes(reversed(self.table)).translate(_BIT_DIGITS), 2)
         width = max(1, (1 << self.n) // 4)
         return f"{value:0{width}x}"
 
@@ -130,6 +133,9 @@ class BooleanFunction:
 
     def __call__(self, coords: Sequence[int]) -> int:
         return self.table[_bits_to_index(coords, self.n)]
+
+
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _bits_to_index(coords: Sequence[int], n: int) -> int:

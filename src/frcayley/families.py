@@ -13,11 +13,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .boolfn import BooleanClass, BooleanFunction, GroupFunction, classify_boolean, plateaued_level, support
 from .cayley import CayleyGraph, make_graph
-from .cyclotomic import ramanujan_row
+from .cyclotomic import _factorize, ramanujan_row
 from .engine import FRWitness, decide_fr, valid_k
 from .errors import HypothesisViolationError, InvalidGroupError, SpecFormatError, ZeroInSetError
 from .groups import MAX_GROUP_ORDER, Element, make_group, units_mod
@@ -113,6 +113,16 @@ def _require_fr_modulus(n: int, what: str) -> None:
         )
 
 
+def _lift(
+    h_orders: Sequence[int], s0: Iterable[Element], s1: Iterable[Element]
+) -> tuple[CayleyGraph, Element]:
+    """Z_2 x H connected by {0} x S0  union  {1} x S1  union  {a}, with
+    a = (1, 0, ..., 0): the graph of families A, C, D and E."""
+    a = (1,) + (0,) * len(h_orders)
+    conn = [(0, *s) for s in s0] + [(1, *s) for s in s1] + [a]
+    return make_graph([2, *h_orders], conn), a
+
+
 def build_ramanujan_family(
     p: int, r: int, h_orders: Sequence[int] = ()
 ) -> BuiltFamily:
@@ -126,21 +136,12 @@ def build_ramanujan_family(
         raise HypothesisViolationError(f"p must be an odd prime, got {p}")
     if r < 1:
         raise HypothesisViolationError(f"r must be at least 1, got {r}")
-    h_group = make_group(h_orders) if h_orders else None
-    m = h_group.n if h_group else 1
+    m = make_group(h_orders).n if h_orders else 1
     big_n = p ** (r - 1) * m
     _require_fr_modulus(big_n, f"p^(r-1) * |H| = {p}^{r - 1} * {m}")
-    orders = [2, p**r, *h_orders]
-    make_group(orders)  # the order ceiling, before units_mod(p**r) runs
-    zero_tail = (0,) * len(h_orders)
-    conn: list[tuple[int, ...]] = []
-    h_elements = list(h_group.elements()) if h_group else [()]
-    for u in units_mod(p**r):
-        for h in h_elements:
-            conn.append((0, u, *h))
-    a = (1, 0, *zero_tail)
-    conn.append(a)
-    graph = make_graph(orders, conn)
+    make_group([2, p**r, *h_orders])  # the order ceiling, before units_mod(p**r) runs
+    s0 = itertools.product(units_mod(p**r), *map(range, h_orders))
+    graph, a = _lift([p**r, *h_orders], s0, ())
     label = f"ramanujan p={p} r={r} H={list(h_orders)}"
     return BuiltFamily(
         FamilyVariant.RAMANUJAN_A, graph, a, _fr_prediction(a, big_n), label
@@ -211,66 +212,41 @@ def build_plateaued_family(
         cleaned.add(g)
     if not cleaned:
         raise HypothesisViolationError("S1 must be nonempty")
-    # one walk per unit orbit, each member of S1 visited once
-    seen: set[Element] = set()
-    for s in sorted(cleaned):
-        if s in seen:
-            continue
-        for k, t in H.unit_multiples(s):
-            if t not in cleaned:
-                # a unit of Z_exponent that acts on s as k does
-                d, e = H.element_order(s), H.exponent
-                unit = next(u for u in range(k, e, d) if math.gcd(u, e) == 1)
-                raise HypothesisViolationError(
-                    f"S1 is not closed under multiplication by the unit {unit}: "
-                    f"{s} is inside but {t} is not"
-                )
-            seen.add(t)
-    d1 = len(cleaned)
     indicator = GroupFunction.indicator(H, cleaned)
-    candidates = (
-        [p]
-        if p is not None
-        else [q for q in range(2, d1 + 1) if d1 % q == 0 and is_prime(q)]
-    )
-    chosen: Optional[tuple[int, int]] = None
-    for q in candidates:
-        # d1 % q first: it bounds q by |S1| before any trial division
-        if p is not None and (q < 2 or d1 % q != 0 or not is_prime(q)):
-            raise HypothesisViolationError(
-                f"p = {q} must be a prime divisor of |S1| = {d1}"
-            )
+    if indicator.unit_orbits is None:
+        # the first s of S1 in sorted order with a unit multiple t outside S1
+        s, k, t = next(
+            (s, k, t) for s in sorted(cleaned) for k, t in H.unit_multiples(s) if t not in cleaned
+        )
+        # a unit of Z_exponent that acts on s as k does
+        d, e = H.element_order(s), H.exponent
+        unit = next(u for u in range(k, e, d) if math.gcd(u, e) == 1)
+        raise HypothesisViolationError(
+            f"S1 is not closed under multiplication by the unit {unit}: "
+            f"{s} is inside but {t} is not"
+        )
+    d1 = len(cleaned)
+    # d1 % p first: it bounds p by |S1| before any trial division
+    if p is not None and (p < 2 or d1 % p != 0 or not is_prime(p)):
+        raise HypothesisViolationError(f"p = {p} must be a prime divisor of |S1| = {d1}")
+    for q in [p] if p is not None else _factorize(d1):
         level = plateaued_level(indicator, q)
-        if level is None:
-            if p is not None:
-                raise HypothesisViolationError(
-                    f"the indicator spectrum of S1 is not {q}-power plateaued"
-                )
-            continue
-        r0 = min(level[1], p_adic_valuation(d1, q))
-        if r0 >= 1:
-            chosen = (q, r0)
+        if level is not None:
             break
         if p is not None:
             raise HypothesisViolationError(
-                f"min(plateau level, v_{q}(|S1|)) = 0; the phase modulus collapses"
+                f"the indicator spectrum of S1 is not {q}-power plateaued"
             )
-    if chosen is None:
+    else:
         raise HypothesisViolationError(
             "no prime divides |S1| with a plateaued indicator spectrum of "
             "positive level, so the phase modulus collapses to 2"
         )
-    q, r0 = chosen
+    # q divides |S1| and a level is at least 1, so r0 >= 1
+    r0 = min(level[1], p_adic_valuation(d1, q))
     big_n = 2 * q**r0
     _require_fr_modulus(big_n, f"2 * {q}^{r0}")
-    orders = [2, *h_orders]
-    conn: list[tuple[int, ...]] = []
-    for eps in (0, 1):
-        for s in sorted(cleaned):
-            conn.append((eps, *s))
-    a = (1,) + (0,) * len(h_orders)
-    conn.append(a)
-    graph = make_graph(orders, conn)
+    graph, a = _lift(h_orders, cleaned, cleaned)
     label = f"plateaued H={list(h_orders)} |S1|={d1} p={q} r0={r0}"
     return BuiltFamily(
         FamilyVariant.PLATEAUED_C, graph, a, _fr_prediction(a, big_n), label
@@ -315,24 +291,14 @@ def build_cublike_family(
             f"min dyadic valuation of d0 + d1 = {d0 + d1} and d0 - d1 = "
             f"{d0 - d1} is below 3, so the phase modulus cannot reach 8"
         )
-    orders = [2] * (n_bits + 1)
-    conn: list[tuple[int, ...]] = []
-    for s in sorted(set0):
-        conn.append((0, *s))
-    for s in sorted(set1):
-        conn.append((1, *s))
-    a = (1,) + (0,) * n_bits
-    conn.append(a)
-    graph = make_graph(orders, conn)
+    graph, a = _lift([2] * n_bits, set0, set1)
     # This family has no closed-form modulus, so ask the engine; its
     # canonical modulus is the congruence gcd M (or the free two-eigenvalue
     # fallback, which carries the same role).
     witness = decide_fr(graph, a)
     if witness is None:
         raise ArithmeticError("decide_fr found no witness on an exponent-2 graph")
-    m = witness.modulus
-    vs_m = [v for v in (v2(m), v2(d0 + d1), v2(d0 - d1)) if v is not None]
-    kappa = min(vs_m) if vs_m else 3
+    kappa = min(v2(witness.modulus), *vs)
     if kappa < 3:
         raise HypothesisViolationError(
             f"min(v_2(M), v_2(d0 + d1), v_2(d0 - d1)) = {kappa} < 3, "
@@ -363,14 +329,7 @@ def build_bent_family(f: BooleanFunction) -> BuiltFamily:
     big_n = 2 ** (k + 1)
     _require_fr_modulus(big_n, f"2^(n/2 + 1) = {big_n}")
     supp = support(f)
-    orders = [2] * (f.n + 1)
-    conn: list[tuple[int, ...]] = []
-    for eps in (0, 1):
-        for s in supp:
-            conn.append((eps, *s))
-    a = (1,) + (0,) * f.n
-    conn.append(a)
-    graph = make_graph(orders, conn)
+    graph, a = _lift([2] * f.n, supp, supp)
     rho0 = (1 + 2**k) % big_n if cls is BooleanClass.BENT else 1
     label = f"{cls.value.lower().replace('_', '-')} n={f.n} |supp|={len(supp)}"
     return BuiltFamily(
@@ -454,4 +413,9 @@ def build_from_spec(data: object) -> BuiltFamily:
         return build_cublike_family(
             _json_int_rows(doc["S0"], "S0"), _json_int_rows(doc["S1"], "S1"), optional_int("n")
         )
-    return build_bent_family(BooleanFunction.from_hex(_json_str(doc["f"], "f")))
+    f_hex = _json_str(doc["f"], "f")
+    # 2^n bits build (Z_2)^(n+1): the order ceiling, before the table is decoded
+    n = (4 * len(f_hex)).bit_length() - 1
+    if f_hex and 4 * len(f_hex) == 1 << n:
+        make_group([2] * (n + 1))
+    return build_bent_family(BooleanFunction.from_hex(f_hex))

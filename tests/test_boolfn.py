@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -131,6 +132,28 @@ class TestBooleanFunction:
         n, table = pair
         f = BooleanFunction(n, tuple(table))
         assert BooleanFunction.from_hex(f.to_hex()).table == f.table
+
+    @given(
+        st.integers(min_value=0, max_value=8),
+        st.integers(min_value=0, max_value=2**32),
+        st.randoms(use_true_random=False),
+    )
+    def test_hex_text_roundtrip_keeps_leading_zeros(self, k, zeros, rnd):
+        digits = "".join(rnd.choice("0123456789abcdef") for _ in range(2**k))
+        text = ("0" * (zeros % (2**k + 1)) + digits)[: 2**k]
+        f = BooleanFunction.from_hex(text)
+        value = int(text, 16)
+        assert f.table == tuple((value >> j) & 1 for j in range(4 * 2**k))
+        assert f.to_hex() == text
+
+    def test_large_table_is_linear(self):
+        # 2^17 digits: a shift or a big-int sum per bit takes seconds here
+        rnd = random.Random(17)
+        text = "".join(rnd.choice("0123456789abcdef") for _ in range(2**17))
+        start = time.perf_counter()
+        f = BooleanFunction.from_hex(text)
+        assert f.to_hex() == text
+        assert time.perf_counter() - start < 0.5
 
 
 class TestWalshTransform:

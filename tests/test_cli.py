@@ -1048,8 +1048,13 @@ class TestGroupOrderCeiling:
             (["construct"], {"variant": "RAMANUJAN_A", "p": HUGE_PRIME, "r": 1}),
             (["construct"], {"variant": "RAMANUJAN_A", "p": 3, "r": 100000000}),
             (["construct"], {"variant": "MULTI_PRIME_B", "prime_powers": [[2, 2], [HUGE_PRIME, 1]]}),
+            # a 2^20-bit table: (Z2)^21, refused before the table is decoded
+            (["construct"], {"variant": "BENT_E", "f": "7888" * 2**16}),
         ],
-        ids=["graph", "family-A", "family-B", "family-A-huge-p", "family-A-huge-r", "family-B-huge-p"],
+        ids=[
+            "graph", "family-A", "family-B", "family-A-huge-p", "family-A-huge-r",
+            "family-B-huge-p", "family-E-huge-table",
+        ],
     )
     def test_exit_three_within_a_second(self, capsys, tmp_path, argv, doc):
         path = write_json(tmp_path, "doc.json", doc)

@@ -7,7 +7,7 @@ import math
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import frcayley as fr
@@ -258,6 +258,59 @@ class TestPlateauedFamily:
         # power for a valid modulus: N = 2 * 3^0 = 2 is rejected.
         with pytest.raises(HypothesisViolationError):
             build_plateaued_family([9], [(3,), (6,)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(
+            [[4], [6], [8], [9], [12], [16], [18], [20], [24], [25], [27], [32], [36],
+             [45], [48], [49], [60], [64], [2, 2], [2, 4], [3, 3], [2, 6], [4, 4], [2, 8],
+             [3, 6], [3, 9], [5, 5], [6, 6], [2, 2, 4]]
+        ),
+        st.integers(min_value=1, max_value=2**63 - 1),
+    )
+    # two primes divide gcd(|S1|, spread): the least gives N = 4, or N = 6 not 10
+    @example([12], 0b101)
+    @example([36], 0b1)
+    @example([45], 0b101)
+    def test_prime_matches_the_cyclotomic_reference(self, h_orders, mask):
+        # S1 the union of the unit orbits {k x : gcd(k, e) = 1} that mask picks
+        H = fr.make_group(h_orders)
+        e = H.exponent
+        orbits = {
+            frozenset(
+                tuple(k * c % m for c, m in zip(x, h_orders))
+                for k in range(1, e)
+                if math.gcd(k, e) == 1
+            )
+            for x in H.elements()
+            if x != H.zero
+        }
+        orbits = sorted(sorted(o) for o in orbits)
+        s1 = sorted(x for i, o in enumerate(orbits) if mask >> i & 1 for x in o)
+        assume(s1)
+        lam = [c.as_integer() for c in fr.group_fourier(fr.GroupFunction.indicator(H, s1))]
+        d1 = len(s1)
+        assert lam[0] == d1
+        spread = 0
+        for v in lam[1:]:
+            spread = math.gcd(spread, v - d1)
+        g = math.gcd(d1, spread)
+        q = next((q for q in range(2, g + 1) if g % q == 0), None)
+        r0 = q and min(p_adic_valuation(spread, q), p_adic_valuation(d1, q))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DisconnectedGraphWarning)
+            if q is None or 2 * q**r0 == 4:
+                with pytest.raises(HypothesisViolationError):
+                    build_plateaued_family(h_orders, s1)
+                if q is not None:
+                    with pytest.raises(HypothesisViolationError):
+                        build_plateaued_family(h_orders, s1, p=q)
+                return
+            built = build_plateaued_family(h_orders, s1)
+            w = built.prediction
+            assert (w.modulus, w.rho0, w.rho1) == (2 * q**r0, 1, 2 * q**r0 - 1)
+            assert built.label.endswith(f"p={q} r0={r0}")
+            assert build_plateaued_family(h_orders, s1, p=q).prediction == built.prediction
 
 
 class TestCublikeFamily:
