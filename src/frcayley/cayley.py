@@ -268,17 +268,6 @@ def is_integral(graph: CayleyGraph) -> bool:
     return graph.unit_orbits is not None
 
 
-def adjacency_matrix(graph: CayleyGraph) -> np.ndarray:
-    """Dense 0/1 adjacency matrix in element-rank order."""
-    G = graph.group
-    n = G.n
-    A = np.zeros((n, n), dtype=np.int64)
-    for i, g in enumerate(G.elements()):
-        for s in graph.connection:
-            A[i, G.rank(G.add(g, s))] = 1
-    return A
-
-
 def graph_to_json(graph: CayleyGraph) -> dict:
     """Wire form: {"group": [orders...], "set": [[coords...]...]}."""
     return {

@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from typing import Iterable, Optional, Sequence
 
 from .boolfn import (
@@ -252,21 +253,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    # The message only: Python's default format names the file and line
+    # that warned, so stderr would depend on where the package is installed.
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        if "tol" in args and not args.tol > 0:
-            raise ValueError(f"tolerance must be positive, got {args.tol}")
-        return args.handler(args)
-    except (SpecFormatError, FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except HypothesisViolationError as exc:
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except (FrCayleyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            if "tol" in args and not args.tol > 0:
+                raise ValueError(f"tolerance must be positive, got {args.tol}")
+            return args.handler(args)
+        except (SpecFormatError, FileNotFoundError, IsADirectoryError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_FORMAT
+        except HypothesisViolationError as exc:
+            print(f"hypothesis violation: {exc}", file=sys.stderr)
+            return EXIT_HYPOTHESIS
+        except (FrCayleyError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INVALID
 
 
 if __name__ == "__main__":

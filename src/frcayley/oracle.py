@@ -1,9 +1,8 @@
 """Independent floating-point checks for the exact engine.
 
 Everything here recomputes from first principles with numpy — character
-tables, walk matrices, a Taylor-series matrix exponential, and a dense time
-grid scan — deliberately avoiding the exact cyclotomic code paths so the two
-sides can cross-validate each other.
+tables, walk matrices and a dense time grid scan — deliberately avoiding the
+exact cyclotomic code paths so the two sides can cross-validate each other.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .cayley import CayleyGraph, adjacency_matrix
+from .cayley import CayleyGraph
 from .engine import FRWitness
 from .errors import OracleDimensionError
 from .groups import Element, FiniteAbelianGroup
@@ -81,8 +80,12 @@ class TransferMatrix:
     entries: np.ndarray
 
     def unitarity_defect(self) -> float:
-        gram = self.entries.conj().T @ self.entries
-        return float(np.max(np.abs(gram - np.eye(self.n))))
+        """max |H^H H - I| over every entry.  H[i, j] depends only on
+        g_i - g_j, so (H^H H)[i, j] does too, and its row 0 holds every
+        entry of the Gram matrix: one mat-vec over all of H."""
+        row = self.entries[:, 0].conj() @ self.entries
+        row[0] -= 1.0
+        return float(np.max(np.abs(row)))
 
 
 def transfer_matrix(graph: CayleyGraph, t: float) -> TransferMatrix:
@@ -96,39 +99,6 @@ def transfer_matrix(graph: CayleyGraph, t: float) -> TransferMatrix:
     row0 = phases @ table.conj() / G.n
     entries = row0[difference_rank_table(G)]
     return TransferMatrix(G.n, t, entries)
-
-
-def series_walk_matrix(graph: CayleyGraph, t: float, terms: int = 25) -> np.ndarray:
-    """Second, eigenbasis-free oracle: scaling-and-squaring Taylor series
-    for exp(i t A) straight from the adjacency matrix."""
-    G = graph.group
-    _require_dense(G)
-    if terms < 20:
-        raise ValueError("at least 20 series terms are required for full precision")
-    A = adjacency_matrix(graph).astype(np.complex128)
-    B = 1j * t * A
-    norm = float(np.max(np.sum(np.abs(B), axis=0))) if G.n else 0.0
-    squarings = 0
-    while norm > 0.5:
-        norm /= 2.0
-        squarings += 1
-    B /= 2.0**squarings
-    H = np.eye(G.n, dtype=np.complex128)
-    term = np.eye(G.n, dtype=np.complex128)
-    for j in range(1, terms + 1):
-        term = term @ B / j
-        H = H + term
-    for _ in range(squarings):
-        H = H @ H
-    return H
-
-
-def dense_expm_check(graph: CayleyGraph, t: float, terms: int = 25) -> float:
-    """Max entrywise difference between the eigenbasis walk matrix and the
-    Taylor-series one.  Small values certify both computations at once."""
-    spectral = transfer_matrix(graph, t).entries
-    series = series_walk_matrix(graph, t, terms=terms)
-    return float(np.max(np.abs(spectral - series)))
 
 
 @dataclass(frozen=True)
@@ -170,14 +140,19 @@ def verify_fr(
     for m, c in zip(G.orders, a):
         image = (image[:, None] * m + (np.arange(m, dtype=np.int64) + c) % m).reshape(-1)
     ranks = np.arange(n)
-    Q = np.zeros((n, n), dtype=np.int64)
-    Q[ranks, image] = 1
-    # Q is a permutation matrix, so Q = Q^T and Q^2 = I both say that image
-    # is an involution, and trace(Q) = 0 that it has no fixed point.
-    permutation_ok = np.array_equal(image[image], ranks) and not np.any(image == ranks)
+    # image is an involution exactly when the permutation matrix Q is
+    # symmetric with Q^2 = I, and trace(Q) = 0 says it has no fixed point.
+    fixed = image == ranks
+    permutation_ok = np.array_equal(image[image], ranks) and not np.any(fixed)
     H = transfer_matrix(graph, witness.time)
-    target = witness.alpha * np.eye(n) + witness.beta * Q
-    max_dev = float(np.max(np.abs(H.entries - target)))
+    # |H - (alpha*I + beta*Q)| entrywise without building the target: |H|
+    # off the support of I + Q, and on it the same sums the dense target
+    # holds (alpha*I[i, j] + beta*Q[i, j], with both 1 where image[i] = i).
+    alpha, beta, entries = witness.alpha, witness.beta, H.entries
+    dev = np.abs(entries)
+    dev[ranks, ranks] = np.abs(entries[ranks, ranks] - (alpha * 1.0 + beta * fixed))
+    dev[ranks, image] = np.abs(entries[ranks, image] - (alpha * fixed + beta * 1))
+    max_dev = float(np.max(dev))
     defect = H.unitarity_defect()
     passed = permutation_ok and max_dev <= tol and defect <= tol
     return VerificationReport(passed, max_dev, tol, defect, permutation_ok)

@@ -1,0 +1,85 @@
+"""Slow reference paths that only the tests call.
+
+Each one is the straightforward dense computation that a faster library
+routine replaced or that no library caller needs; the tests compare the
+library against these.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from frcayley import CayleyGraph, FRWitness, VerificationReport, transfer_matrix
+from frcayley.oracle import _require_dense
+
+
+def adjacency_matrix(graph: CayleyGraph) -> np.ndarray:
+    """Dense 0/1 adjacency matrix in element-rank order."""
+    G = graph.group
+    n = G.n
+    A = np.zeros((n, n), dtype=np.int64)
+    for i, g in enumerate(G.elements()):
+        for s in graph.connection:
+            A[i, G.rank(G.add(g, s))] = 1
+    return A
+
+
+def series_walk_matrix(graph: CayleyGraph, t: float, terms: int = 25) -> np.ndarray:
+    """Second, eigenbasis-free oracle: scaling-and-squaring Taylor series
+    for exp(i t A) straight from the adjacency matrix."""
+    G = graph.group
+    _require_dense(G)
+    if terms < 20:
+        raise ValueError("at least 20 series terms are required for full precision")
+    A = adjacency_matrix(graph).astype(np.complex128)
+    B = 1j * t * A
+    norm = float(np.max(np.sum(np.abs(B), axis=0))) if G.n else 0.0
+    squarings = 0
+    while norm > 0.5:
+        norm /= 2.0
+        squarings += 1
+    B /= 2.0**squarings
+    H = np.eye(G.n, dtype=np.complex128)
+    term = np.eye(G.n, dtype=np.complex128)
+    for j in range(1, terms + 1):
+        term = term @ B / j
+        H = H + term
+    for _ in range(squarings):
+        H = H @ H
+    return H
+
+
+def dense_expm_check(graph: CayleyGraph, t: float, terms: int = 25) -> float:
+    """Max entrywise difference between the eigenbasis walk matrix and the
+    Taylor-series one.  Small values certify both computations at once."""
+    spectral = transfer_matrix(graph, t).entries
+    series = series_walk_matrix(graph, t, terms=terms)
+    return float(np.max(np.abs(spectral - series)))
+
+
+def gram_defect(entries: np.ndarray) -> float:
+    """max |H^H H - I| from the full n x n Gram matrix."""
+    gram = entries.conj().T @ entries
+    return float(np.max(np.abs(gram - np.eye(entries.shape[0]))))
+
+
+def verify_fr(graph: CayleyGraph, witness: FRWitness, tol: float = 1e-9) -> VerificationReport:
+    """The dense verifier: builds the translation matrix Q, the target
+    alpha*I + beta*Q and the full Gram matrix of H(t)."""
+    G = graph.group
+    _require_dense(G)
+    a = G.require_element(witness.a)
+    n = G.n
+    image = np.array([G.rank(G.add(g, a)) for g in G.elements()], dtype=np.int64)
+    ranks = np.arange(n)
+    Q = np.zeros((n, n), dtype=np.int64)
+    Q[ranks, image] = 1
+    # Q is a permutation matrix, so Q = Q^T and Q^2 = I both say that image
+    # is an involution, and trace(Q) = 0 that it has no fixed point.
+    permutation_ok = np.array_equal(image[image], ranks) and not np.any(image == ranks)
+    H = transfer_matrix(graph, witness.time)
+    target = witness.alpha * np.eye(n) + witness.beta * Q
+    max_dev = float(np.max(np.abs(H.entries - target)))
+    defect = gram_defect(H.entries)
+    passed = permutation_ok and max_dev <= tol and defect <= tol
+    return VerificationReport(passed, max_dev, tol, defect, permutation_ok)

@@ -21,7 +21,6 @@ from frcayley import (
     DisconnectedGraphWarning,
     SpecFormatError,
     ZeroInSetError,
-    adjacency_matrix,
     cyclotomic_spectrum,
     graph_from_json,
     graph_to_json,
@@ -39,6 +38,7 @@ from helpers import (
     random_symmetric_set,
     random_unit_closed_set,
 )
+from reference import adjacency_matrix
 
 
 class TestValidateConnectionSet:

@@ -8,7 +8,10 @@ import io
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -265,6 +268,29 @@ class TestConstructCommand:
         assert out == ""
         doc = json.loads(target.read_text())
         assert doc["graph"]["group"] == [4, 9]
+
+    def test_disconnected_warning_is_one_line_without_a_path(self, tmp_path):
+        # Every element of S0 = S1 has equal first two coordinates, so the
+        # graph is disconnected.  A fresh process, so that Python's own
+        # warning filters apply; the stderr bytes must not depend on where
+        # the package is installed.
+        support = [[1, 1, 0, 0], [1, 1, 0, 1], [1, 1, 1, 0], [1, 1, 1, 1]]
+        doc = {"variant": "CUBLIKE_D", "S0": support, "S1": support}
+        spec = write_json(tmp_path, "famD.json", doc)
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(fr.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "frcayley", "construct", spec, "-o", str(tmp_path / "b.json")],
+            capture_output=True,
+            env=env,
+            check=False,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == (
+            b"warning: connection set does not generate the group; the graph is disconnected\n"
+        )
 
 
 class TestVerifyCommand:

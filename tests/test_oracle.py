@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import cmath
 import dataclasses
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,25 +17,26 @@ from hypothesis import strategies as st
 
 import frcayley as fr
 from frcayley import (
+    FRWitness,
     OracleDimensionError,
+    TransferMatrix,
     WitnessKind,
-    adjacency_matrix,
     build_cublike_family,
     character_table,
     decide_fr,
-    dense_expm_check,
     eigenvalue_array,
     fr_grid_scan,
     make_group,
     search_all,
-    series_walk_matrix,
     spectrum,
     transfer_matrix,
     verify_fr,
 )
 from frcayley.boolfn import mm_bent, support
 from frcayley.oracle import difference_rank_table
-from helpers import graph_from_set, quiet_graph, random_symmetric_set
+from helpers import graph_from_set, quiet_graph, random_symmetric_set, random_unit_closed_set
+from reference import dense_expm_check, gram_defect, series_walk_matrix
+from reference import verify_fr as reference_verify_fr
 
 
 class TestCharacterTable:
@@ -70,6 +73,40 @@ def dense_orders(draw):
         orders.append(draw(st.integers(min_value=2, max_value=budget)))
         budget //= orders[-1]
     return orders
+
+
+def defect_tolerance(n):
+    # Each Gram entry is a length-n dot product of columns of norm about 1,
+    # so its rounding error is below n * eps / 2; two sums of the same H can
+    # therefore disagree by n * eps, plus a few eps for the "- I" and the abs.
+    return (n + 4) * np.finfo(np.float64).eps
+
+
+@st.composite
+def oracle_cases(draw):
+    """A random unit-closed graph of order at most 256, and a witness that is
+    genuine, tampered in (k, rho0), or aimed at a = 0.  A graph where the
+    drawn element has no certificate gets a witness at a random time."""
+    group = make_group(draw(dense_orders()))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    graph = graph_from_set(group, random_unit_closed_set(group, rng))
+    a = draw(st.sampled_from(group.involutions() or [group.zero]))
+    witness = decide_fr(graph, a) if any(a) else None
+    if witness is None:
+        modulus = draw(st.integers(min_value=1, max_value=64))
+        rho = st.integers(min_value=0, max_value=modulus - 1)
+        k = draw(st.integers(min_value=1, max_value=modulus))
+        witness = FRWitness(a, k, modulus, draw(rho), draw(rho), ())
+    kind = draw(st.sampled_from(["genuine", "tampered", "zero"]))
+    if kind == "tampered":
+        witness = dataclasses.replace(
+            witness,
+            k=draw(st.integers(min_value=1, max_value=witness.modulus)),
+            rho0=draw(st.integers(min_value=0, max_value=witness.modulus - 1)),
+        )
+    elif kind == "zero":
+        witness = dataclasses.replace(witness, a=group.zero)
+    return graph, witness
 
 
 def assert_tables_match_elementwise(orders):
@@ -119,6 +156,20 @@ class TestTransferMatrix:
                 continue
             h = transfer_matrix(graph, 0.7)
             assert h.unitarity_defect() < 1e-9, name
+
+    @settings(max_examples=60, deadline=None)
+    @given(dense_orders(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_unitarity_defect_reads_the_whole_gram(self, orders, seed):
+        # Any matrix row0[D] is a function of differences; a random unit
+        # row0 gives unit columns, so the Gram diagonal is 1 and only the
+        # entries off it show the defect.
+        G = make_group(orders)
+        rng = np.random.default_rng(seed)
+        row0 = rng.standard_normal(G.n) + 1j * rng.standard_normal(G.n)
+        row0 /= np.linalg.norm(row0)
+        entries = row0[difference_rank_table(G)]
+        fast = TransferMatrix(G.n, 0.0, entries).unitarity_defect()
+        assert abs(fast - gram_defect(entries)) <= defect_tolerance(G.n)
 
     def test_translation_invariance(self, prism_graph):
         # H(t)[g, h] depends only on g - h: check every pair against row 0.
@@ -257,6 +308,33 @@ class TestVerifyFr:
         assert report.passed
         assert peak < 7 * 2**20
 
+    def test_peak_memory_is_a_few_matrices(self):
+        # A few n x n arrays at a time (the tables, H(t) and |H - target|);
+        # no Gram matrix, translation matrix or dense target
+        supp = support(mm_bent(6))
+        lifted = sorted([(0, *s) for s in supp] + [(1, *s) for s in supp])
+        built = build_cublike_family(lifted, lifted)
+        verify_fr(built.graph, built.prediction)
+        tracemalloc.start()
+        try:
+            verify_fr(built.graph, built.prediction)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 2**20
+
+    @settings(max_examples=120, deadline=None)
+    @given(oracle_cases())
+    def test_matches_the_dense_reference(self, case):
+        graph, witness = case
+        fast = verify_fr(graph, witness)
+        slow = reference_verify_fr(graph, witness)
+        assert fast.passed == slow.passed
+        assert fast.permutation_ok == slow.permutation_ok
+        assert fast.tolerance == slow.tolerance
+        assert fast.max_deviation == slow.max_deviation
+        assert abs(fast.unitarity_defect - slow.unitarity_defect) <= defect_tolerance(graph.n)
+
     def test_report_document(self, units_graph):
         w = decide_fr(units_graph, (1, 0))
         doc = verify_fr(units_graph, w).to_json()
@@ -300,3 +378,25 @@ class TestGridScan:
     def test_respects_explicit_targets(self, hypercube_q3):
         hits = fr_grid_scan(hypercube_q3, targets=[(1, 1, 1)])
         assert set(hits) == {(1, 1, 1)}
+
+
+class TestIndependence:
+    def test_oracle_imports_only_the_data_types(self):
+        # The oracle checks the engine, so it may read the graph and witness
+        # types but none of the engine's spectrum, fold or moduli code.
+        imported = set()
+        source = Path(fr.__file__).with_name("oracle.py").read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("frcayley")
+            ):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                assert not any(alias.name.startswith("frcayley") for alias in node.names)
+        assert imported <= {
+            "CayleyGraph",
+            "FRWitness",
+            "OracleDimensionError",
+            "Element",
+            "FiniteAbelianGroup",
+        }
