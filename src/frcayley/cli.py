@@ -45,7 +45,7 @@ from .ioutil import (
     dump_json,
     involution_records,
 )
-from .oracle import verify_fr
+from .oracle import require_tolerance, verify_fr
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -264,8 +264,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
-            if "tol" in args and not args.tol > 0:
-                raise ValueError(f"tolerance must be positive, got {args.tol}")
+            if "tol" in args:
+                require_tolerance(args.tol)
             return args.handler(args)
         except (SpecFormatError, FileNotFoundError, IsADirectoryError) as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -28,46 +28,71 @@ def _require_dense(group: FiniteAbelianGroup) -> None:
         )
 
 
-def character_table(group: FiniteAbelianGroup) -> np.ndarray:
-    """Dense table X[i, j] = chi_{g_i}(g_j) in element-rank order.
+def _exponent_table(group: FiniteAbelianGroup) -> tuple[np.ndarray, np.ndarray]:
+    """(expo, roots) with X = roots[expo].
 
-    The exponent table is the Kronecker sum of one m x m block per cyclic
-    factor, block[c, c'] = (exponent / m) * (c c' mod m), reduced mod the
-    exponent; each entry then reads its root of unity from one table."""
+    expo is the Kronecker sum of one m x m block per cyclic factor,
+    block[c, c'] = (exponent / m) * (c c' mod m), built from the last factor
+    to the first so that each broadcast runs along the table built so far.
+    Its entries are left unreduced: each block entry is below the exponent
+    e, so with r factors every sum is below r * e, and roots repeats the e
+    roots of unity exp(2 pi i k / e) r times (entry k is the root at k mod e,
+    the same float)."""
     e = group.exponent
     expo = np.zeros((1, 1), dtype=np.int64)
-    for m in group.orders:
+    for m in reversed(group.orders):
         c = np.arange(m, dtype=np.int64)
         block = (e // m) * (np.outer(c, c) % m)
         k = expo.shape[0]
-        expo = ((expo[:, None, :, None] + block[None, :, None, :]) % e).reshape(k * m, k * m)
+        expo = (block[:, None, :, None] + expo[None, :, None, :]).reshape(m * k, m * k)
     roots = np.exp(2j * np.pi * np.arange(e) / e)
+    return expo, np.tile(roots, len(group.orders))
+
+
+def character_table(group: FiniteAbelianGroup) -> np.ndarray:
+    """Dense table X[i, j] = chi_{g_i}(g_j) in element-rank order."""
+    expo, roots = _exponent_table(group)
     return roots[expo]
 
 
-def eigenvalue_array(graph: CayleyGraph, table: Optional[np.ndarray] = None) -> np.ndarray:
-    """Real eigenvalues lambda_z = sum_{s in S} chi_z(s), in rank order."""
-    G = graph.group
-    if table is None:
-        table = character_table(G)
-    rows = [table[G.rank(s), :] for s in graph.connection]
-    lam = np.sum(rows, axis=0) if rows else np.zeros(G.n, dtype=complex)
+def _connection_ranks(graph: CayleyGraph) -> np.ndarray:
+    """rank(s) for s in S, in S order: one product with the mixed-radix
+    strides (the last factor is the lowest digit)."""
+    orders = graph.group.orders
+    strides = np.cumprod((1,) + orders[:0:-1], dtype=np.int64)[::-1]
+    return np.array(graph.connection.elements, dtype=np.int64).reshape(-1, len(orders)) @ strides
+
+
+def _real_sum(rows: np.ndarray) -> np.ndarray:
+    """The eigenvalues sum_{s in S} chi_z(s) from the |S| rows of X, added
+    one row at a time in S order."""
+    lam = rows.sum(axis=0)
     if not np.max(np.abs(lam.imag)) < 1e-9:
         raise ArithmeticError("eigenvalues are not real; the connection set is not symmetric")
     return lam.real
 
 
+def eigenvalue_array(graph: CayleyGraph, table: Optional[np.ndarray] = None) -> np.ndarray:
+    """Real eigenvalues lambda_z = sum_{s in S} chi_z(s), in rank order.
+    Only the |S| rows of X that S names are read (or gathered)."""
+    ranks = _connection_ranks(graph)
+    if table is not None:
+        return _real_sum(table[ranks])
+    expo, roots = _exponent_table(graph.group)
+    return _real_sum(roots[expo[ranks]])
+
+
 def difference_rank_table(group: FiniteAbelianGroup) -> np.ndarray:
     """D[i, j] = rank(g_i - g_j), so any function of differences can be
-    broadcast from its value on row zero.  Built factor by factor: the
-    ranks are mixed-radix, so each factor appends its own digit
-    (c - c') mod m to both indices."""
+    broadcast from its value on row zero.  Built from the last factor to
+    the first: the ranks are mixed-radix, so each factor puts its digit
+    (c - c') mod m in front of both indices, above the k ranks so far."""
     D = np.zeros((1, 1), dtype=np.int64)
-    for m in group.orders:
+    for m in reversed(group.orders):
         c = np.arange(m, dtype=np.int64)
         digit = (c[:, None] - c[None, :]) % m
         k = D.shape[0]
-        D = (D[:, None, :, None] * m + digit[None, :, None, :]).reshape(k * m, k * m)
+        D = (digit[:, None, :, None] * k + D[None, :, None, :]).reshape(m * k, m * k)
     return D
 
 
@@ -93,12 +118,17 @@ def transfer_matrix(graph: CayleyGraph, t: float) -> TransferMatrix:
     differences, so one row determines the whole matrix."""
     G = graph.group
     _require_dense(G)
-    table = character_table(G)
-    lam = eigenvalue_array(graph, table)
-    phases = np.exp(1j * t * lam)
-    row0 = phases @ table.conj() / G.n
-    entries = row0[difference_rank_table(G)]
+    entries = _walk_row(graph, t)[difference_rank_table(G)]
     return TransferMatrix(G.n, t, entries)
+
+
+def _walk_row(graph: CayleyGraph, t: float) -> np.ndarray:
+    """Row 0 of H(t), sum_z exp(i t lambda_z) conj(X[z, :]) / n.  conj(X)
+    is gathered straight from the conjugate roots (conj only flips a sign,
+    so it is the same float), and the tables are gone when it returns."""
+    expo, roots = _exponent_table(graph.group)
+    lam = _real_sum(roots[expo[_connection_ranks(graph)]])
+    return np.exp(1j * t * lam) @ roots.conj()[expo] / graph.group.n
 
 
 @dataclass(frozen=True)
@@ -121,6 +151,14 @@ class VerificationReport:
         }
 
 
+def require_tolerance(tol: float) -> None:
+    """Refuse a tolerance that is not positive and finite: an infinite or
+    NaN one would pass any deviation and could not be written as JSON, and
+    no deviation is below zero."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+
+
 def verify_fr(
     graph: CayleyGraph, witness: FRWitness, tol: float = 1e-9
 ) -> VerificationReport:
@@ -130,7 +168,9 @@ def verify_fr(
     Also checks structurally (in exact integers, on the rank permutation
     that Q represents) that Q is a symmetric fixed-point-free involution,
     and numerically that H(t) is unitary.
-    The order cap is checked before any n x n array is built."""
+    The tolerance and the order cap are checked before any n x n array is
+    built."""
+    require_tolerance(tol)
     G = graph.group
     _require_dense(G)
     a = G.require_element(witness.a)

@@ -7,10 +7,63 @@ library against these.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
-from frcayley import CayleyGraph, FRWitness, VerificationReport, transfer_matrix
+import frcayley as fr
+from frcayley import CayleyGraph, FiniteAbelianGroup, FRWitness, TransferMatrix, VerificationReport
 from frcayley.oracle import _require_dense
+
+
+def character_table(group: FiniteAbelianGroup) -> np.ndarray:
+    """X[i, j] = chi_{g_i}(g_j), factor by factor with the new factor on the
+    inner axis and the exponents reduced mod e at every step."""
+    e = group.exponent
+    expo = np.zeros((1, 1), dtype=np.int64)
+    for m in group.orders:
+        c = np.arange(m, dtype=np.int64)
+        block = (e // m) * (np.outer(c, c) % m)
+        k = expo.shape[0]
+        expo = ((expo[:, None, :, None] + block[None, :, None, :]) % e).reshape(k * m, k * m)
+    roots = np.exp(2j * np.pi * np.arange(e) / e)
+    return roots[expo]
+
+
+def eigenvalue_array(graph: CayleyGraph, table: Optional[np.ndarray] = None) -> np.ndarray:
+    """lambda_z = sum_{s in S} chi_z(s) from the rows of the whole table."""
+    G = graph.group
+    if table is None:
+        table = character_table(G)
+    rows = [table[G.rank(s), :] for s in graph.connection]
+    lam = np.sum(rows, axis=0) if rows else np.zeros(G.n, dtype=complex)
+    if not np.max(np.abs(lam.imag)) < 1e-9:
+        raise ArithmeticError("eigenvalues are not real; the connection set is not symmetric")
+    return lam.real
+
+
+def difference_rank_table(group: FiniteAbelianGroup) -> np.ndarray:
+    """D[i, j] = rank(g_i - g_j), factor by factor with the new digit on the
+    inner axis."""
+    D = np.zeros((1, 1), dtype=np.int64)
+    for m in group.orders:
+        c = np.arange(m, dtype=np.int64)
+        digit = (c[:, None] - c[None, :]) % m
+        k = D.shape[0]
+        D = (D[:, None, :, None] * m + digit[None, :, None, :]).reshape(k * m, k * m)
+    return D
+
+
+def transfer_matrix(graph: CayleyGraph, t: float) -> TransferMatrix:
+    """H(t) from the whole character table and its conjugate copy."""
+    G = graph.group
+    _require_dense(G)
+    table = character_table(G)
+    lam = eigenvalue_array(graph, table)
+    phases = np.exp(1j * t * lam)
+    row0 = phases @ table.conj() / G.n
+    entries = row0[difference_rank_table(G)]
+    return TransferMatrix(G.n, t, entries)
 
 
 def adjacency_matrix(graph: CayleyGraph) -> np.ndarray:
@@ -52,7 +105,7 @@ def series_walk_matrix(graph: CayleyGraph, t: float, terms: int = 25) -> np.ndar
 def dense_expm_check(graph: CayleyGraph, t: float, terms: int = 25) -> float:
     """Max entrywise difference between the eigenbasis walk matrix and the
     Taylor-series one.  Small values certify both computations at once."""
-    spectral = transfer_matrix(graph, t).entries
+    spectral = fr.transfer_matrix(graph, t).entries
     series = series_walk_matrix(graph, t, terms=terms)
     return float(np.max(np.abs(spectral - series)))
 
@@ -65,7 +118,8 @@ def gram_defect(entries: np.ndarray) -> float:
 
 def verify_fr(graph: CayleyGraph, witness: FRWitness, tol: float = 1e-9) -> VerificationReport:
     """The dense verifier: builds the translation matrix Q, the target
-    alpha*I + beta*Q and the full Gram matrix of H(t)."""
+    alpha*I + beta*Q and the full Gram matrix of H(t), with H(t) from the
+    reference tables above."""
     G = graph.group
     _require_dense(G)
     a = G.require_element(witness.a)

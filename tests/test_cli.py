@@ -252,6 +252,19 @@ class TestConstructCommand:
         assert out == ""
         assert "tolerance" in err
 
+    @pytest.mark.parametrize("tol", ["inf", "1e400", "nan"])
+    def test_nonfinite_tolerance_is_exit_three(self, capsys, tmp_path, tol):
+        # inf would pass any deviation and be written as the non-JSON
+        # token Infinity; 1e400 parses to inf
+        spec = write_json(tmp_path, "famE.json", {"variant": "BENT_E", "f": "7888"})
+        target = tmp_path / "built.json"
+        code, out, err = run(
+            capsys, ["construct", spec, "--verify", "--tol", tol, "-o", str(target)]
+        )
+        assert (code, out) == (3, "")
+        assert "tolerance" in err
+        assert not target.exists()
+
     def test_unknown_variant_is_exit_two(self, capsys, tmp_path):
         spec = write_json(tmp_path, "odd.json", {"variant": "NOPE"})
         code, _, _ = run(capsys, ["construct", spec])
@@ -359,6 +372,17 @@ class TestVerifyCommand:
         assert doc["tolerance"] == 1e-15
         assert code == (0 if doc["pass"] else 1)
 
+
+    @pytest.mark.parametrize("tol", ["inf", "1e400", "nan"])
+    def test_nonfinite_tolerance_is_exit_three(self, capsys, tmp_path, units_graph, tol):
+        spec, cert = self._write_pair(
+            tmp_path, units_graph, decide_fr(units_graph, (1, 0))
+        )
+        target = tmp_path / "report.json"
+        code, out, err = run(capsys, ["verify", spec, cert, "--tol", tol, "-o", str(target)])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: tolerance must be")
+        assert not target.exists()
 
     def test_zero_tolerance_is_exit_three(self, capsys, tmp_path, units_graph):
         spec, cert = self._write_pair(

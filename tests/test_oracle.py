@@ -5,10 +5,12 @@ from __future__ import annotations
 import ast
 import cmath
 import dataclasses
+import json
 import math
 import random
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,11 +34,12 @@ from frcayley import (
     transfer_matrix,
     verify_fr,
 )
+from frcayley import oracle
 from frcayley.boolfn import mm_bent, support
 from frcayley.oracle import difference_rank_table
 from helpers import graph_from_set, quiet_graph, random_symmetric_set, random_unit_closed_set
+import reference
 from reference import dense_expm_check, gram_defect, series_walk_matrix
-from reference import verify_fr as reference_verify_fr
 
 
 class TestCharacterTable:
@@ -64,10 +67,10 @@ class TestCharacterTable:
 
 
 @st.composite
-def dense_orders(draw):
-    """Up to four cyclic factors with product at most 256."""
+def dense_orders(draw, max_factors=4):
+    """Up to max_factors cyclic factors with product at most 256."""
     orders, budget = [], 256
-    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+    for _ in range(draw(st.integers(min_value=1, max_value=max_factors))):
         if budget < 2:
             break
         orders.append(draw(st.integers(min_value=2, max_value=budget)))
@@ -83,6 +86,15 @@ def defect_tolerance(n):
 
 
 @st.composite
+def random_witness(draw, a):
+    """A witness for a at a random time 2 pi k / modulus with random phases."""
+    modulus = draw(st.integers(min_value=1, max_value=64))
+    rho = st.integers(min_value=0, max_value=modulus - 1)
+    k = draw(st.integers(min_value=1, max_value=modulus))
+    return FRWitness(a, k, modulus, draw(rho), draw(rho), ())
+
+
+@st.composite
 def oracle_cases(draw):
     """A random unit-closed graph of order at most 256, and a witness that is
     genuine, tampered in (k, rho0), or aimed at a = 0.  A graph where the
@@ -93,10 +105,7 @@ def oracle_cases(draw):
     a = draw(st.sampled_from(group.involutions() or [group.zero]))
     witness = decide_fr(graph, a) if any(a) else None
     if witness is None:
-        modulus = draw(st.integers(min_value=1, max_value=64))
-        rho = st.integers(min_value=0, max_value=modulus - 1)
-        k = draw(st.integers(min_value=1, max_value=modulus))
-        witness = FRWitness(a, k, modulus, draw(rho), draw(rho), ())
+        witness = draw(random_witness(a))
     kind = draw(st.sampled_from(["genuine", "tampered", "zero"]))
     if kind == "tampered":
         witness = dataclasses.replace(
@@ -128,6 +137,44 @@ class TestDenseTables:
     @given(dense_orders())
     def test_random_groups(self, orders):
         assert_tables_match_elementwise(orders)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestTablesMatchTheReference:
+    """The tables, H(t) and the report are the bits of the factor-by-factor
+    build that puts each new factor on the inner axis (tests/reference.py)."""
+
+    @pytest.mark.parametrize("orders", [[2] * 8, [256], [2, 4, 25], None])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_bit_for_bit(self, orders, data):
+        if orders is None:
+            orders = data.draw(dense_orders(max_factors=8))
+        G = make_group(orders)
+        rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        if data.draw(st.booleans()):
+            conn = random_unit_closed_set(G, rng)
+        else:
+            conn = random_symmetric_set(G, rng, prob=data.draw(st.floats(0.0, 1.0)))
+        graph = graph_from_set(G, conn)
+        table = character_table(G)
+        assert same_bits(table, reference.character_table(G))
+        assert same_bits(difference_rank_table(G), reference.difference_rank_table(G))
+        lam = reference.eigenvalue_array(graph)
+        assert same_bits(eigenvalue_array(graph), lam)
+        assert same_bits(eigenvalue_array(graph, table), lam)
+        t = data.draw(st.floats(min_value=-1e3, max_value=1e3))
+        assert same_bits(transfer_matrix(graph, t).entries, reference.transfer_matrix(graph, t).entries)
+        a = data.draw(st.sampled_from(G.involutions() or [G.zero]))
+        genuine = decide_fr(graph, a) if any(a) else None
+        for w in filter(None, [data.draw(random_witness(a)), genuine]):
+            report = verify_fr(graph, w).to_json()
+            with mock.patch.object(oracle, "transfer_matrix", reference.transfer_matrix):
+                expected = verify_fr(graph, w).to_json()
+            assert json.dumps(report) == json.dumps(expected)
 
 
 class TestEigenvalueArray:
@@ -309,8 +356,10 @@ class TestVerifyFr:
         assert peak < 7 * 2**20
 
     def test_peak_memory_is_a_few_matrices(self):
-        # A few n x n arrays at a time (the tables, H(t) and |H - target|);
-        # no Gram matrix, translation matrix or dense target
+        # Two n x n arrays at a time: the exponent table and conj(X) (freed
+        # once row 0 of H(t) is built), then D and H(t), then H(t) and
+        # |H - target|; no second complex table, Gram matrix, translation
+        # matrix or dense target.  The peak is 1.52 MiB here.
         supp = support(mm_bent(6))
         lifted = sorted([(0, *s) for s in supp] + [(1, *s) for s in supp])
         built = build_cublike_family(lifted, lifted)
@@ -321,14 +370,14 @@ class TestVerifyFr:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * 2**20
+        assert peak < 1.67 * 2**20
 
     @settings(max_examples=120, deadline=None)
     @given(oracle_cases())
     def test_matches_the_dense_reference(self, case):
         graph, witness = case
         fast = verify_fr(graph, witness)
-        slow = reference_verify_fr(graph, witness)
+        slow = reference.verify_fr(graph, witness)
         assert fast.passed == slow.passed
         assert fast.permutation_ok == slow.permutation_ok
         assert fast.tolerance == slow.tolerance
@@ -349,6 +398,12 @@ class TestVerifyFr:
         assert strict.passed == (
             strict.max_deviation <= 1e-15 and strict.unitarity_defect <= 1e-15
         )
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_refuses_a_tolerance_not_positive_and_finite(self, units_graph, tol):
+        w = decide_fr(units_graph, (1, 0))
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            verify_fr(units_graph, w, tol=tol)
 
     def test_every_corpus_witness(self, corpus):
         for name, graph in corpus:

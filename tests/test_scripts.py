@@ -33,6 +33,13 @@ def test_script_runs_every_example_and_verifies(name, capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol", ["inf", "1e400"])
+def test_family_sweep_refuses_a_nonfinite_tolerance(tol):
+    # verify_fr refuses it, so no row can pass at an infinite tolerance
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        load("family_sweep").main(["--variant", "A", "--tol", tol])
+
+
 def test_parse_probe_reads_and_searches(probe):
     # a smoke test: the keys of the report and the exit code, no timing; no
     # involution of this graph has FR (the decide probe's is PERIODIC)
@@ -115,3 +122,5 @@ def test_oracle_probe_verifies_at_the_dense_cap(probe):
     assert report["construct_pass"] is True and report["verify_pass"] is True
     assert 0 <= report["construct_verify_cpu_s"] < 1.0
     assert 0 <= report["verify_cpu_s"] < 1.0
+    # a few 256 x 256 arrays at a time: the tables, then H(t) and |H - target|
+    assert 0 < report["verify_fr_tracemalloc_peak_mib"] < 4
