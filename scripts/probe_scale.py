@@ -8,7 +8,11 @@ fresh ones), timed in CPU seconds:
   with the unit-closed set {(a, b, u) : u a unit mod 12500} (|S| = 40000),
   then the whole `fr search -o` on the same file, run in process;
 - connectivity: make_graph on Z2 x Z4 x Z1250 (n = 10^4) with the
-  unit-closed set {(a, b, u) : u a unit mod 1250} (|S| = 4000);
+  unit-closed set {(a, b, u) : u a unit mod 1250} (|S| = 4000); then the
+  rank test of is_generated_by, its rows read, reductions and CPU seconds
+  per call, on two sorted lifts {0} x S0, {1} x S1, a: the family-D graph
+  of the oracle probe (n = 256) and the family-E graph of the
+  inner-product bent function on F_2^8 ((Z2)^9, |S| = 241);
 - search: search_all on Z2 x Z4 x Z12500 (n = 10^5, seven involutions)
   with the unit-closed set {(a, b, u) : u a unit mod 12500} (|S| = 40000),
   timed apart from building the graph;
@@ -101,15 +105,36 @@ def probe_parse() -> dict:
     }
 
 
+def rank_test(graph: fr.CayleyGraph) -> dict:
+    """The rank test of is_generated_by on the graph's set: its rows read,
+    its reductions, and its CPU seconds per call, the mean of 100 calls."""
+    group, rows = graph.group, graph.connection.elements
+    read, reductions = group.rank_test_counts(rows)
+    start = time.process_time()
+    for _ in range(100):
+        group.is_generated_by(rows)
+    return {
+        "n": graph.n,
+        "degree": graph.degree,
+        "rows_read": read,
+        "reductions": reductions,
+        "rank_test_cpu_s": (time.process_time() - start) / 100,
+    }
+
+
 def probe_connectivity() -> dict:
     rows = unit_closed_rows(1250)
     start = time.process_time()
     graph = fr.make_graph([2, 4, 1250], rows)
+    cpu = time.process_time() - start
+    lifted = bent_lift()
     return {
         "n": graph.n,
         "degree": graph.degree,
         "connected": graph.connected,
-        "make_graph_cpu_s": time.process_time() - start,
+        "make_graph_cpu_s": cpu,
+        "family_d": rank_test(fr.build_cublike_family(lifted, lifted).graph),
+        "family_e": rank_test(fr.build_bent_family(fr.mm_bent(8)).graph),
     }
 
 
@@ -260,9 +285,16 @@ def _least_cpu(argv: list[str]) -> tuple[int, float]:
     return max(codes), min(cpu)
 
 
-def probe_oracle() -> dict:
+def bent_lift() -> list[list[int]]:
+    """The support of the inner-product bent function on F_2^6, lifted to
+    F_2^7 as {0, 1} x supp, sorted: both slices of the family-D graph of
+    order 256."""
     supp = fr.support(fr.mm_bent(6))
-    lifted = sorted([[0, *s] for s in supp] + [[1, *s] for s in supp])
+    return sorted([[0, *s] for s in supp] + [[1, *s] for s in supp])
+
+
+def probe_oracle() -> dict:
+    lifted = bent_lift()
     doc = {"variant": "CUBLIKE_D", "S0": lifted, "S1": lifted}
     with tempfile.TemporaryDirectory() as tmp:
         spec = Path(tmp) / "family.json"

@@ -3,6 +3,7 @@ integrality, adjacency matrices, and JSON (de)serialization."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -112,6 +113,9 @@ class CayleyGraph:
         validate_connection_set: it is recorded without a walk.  The units
         of each other d are listed once per call."""
         G = self.group
+        if G.exponent == 2:
+            # U(2) = {1}: every element of the set is an orbit of order 2
+            return tuple(zip(self.connection.elements, itertools.repeat(2)))
         members = set(self.connection.elements)
         seen: set[Element] = set()
         units_of: dict[int, list[int]] = {}
@@ -150,8 +154,10 @@ def make_graph(
 
 
 def _checked_graph(group: FiniteAbelianGroup, conn: ConnectionSet) -> CayleyGraph:
-    # Called straight from make_graph and graph_from_json, so that the
-    # warning names the line that called them.
+    # The warning names the line that called this function's caller: the
+    # user's line for make_graph, graph_from_json and
+    # families.build_multi_prime_family, and for a lift (families._lift)
+    # the line of the family builder that called it.
     graph = CayleyGraph(group, conn)
     if not graph.connected:
         warnings.warn(
@@ -240,9 +246,11 @@ def spectrum(graph: CayleyGraph) -> Spectrum:
     if graph.unit_orbits is None:
         return Spectrum(G, graph.degree, None, graph.connection)
     if G.exponent == 2:
+        # the ranks of the set at once: its 0/1 rows times the place values
+        r = len(G.orders)
+        rows = np.array(graph.connection.elements, dtype=np.int64).reshape(-1, r)
         indicator = np.zeros(G.n, dtype=np.int64)
-        for s in graph.connection:
-            indicator[G.rank(s)] = 1
+        indicator[rows @ (1 << np.arange(r - 1, -1, -1, dtype=np.int64))] = 1
         return Spectrum(G, graph.degree, hadamard_transform(indicator))
     orbits = [(s, d, 1) for s, d in graph.unit_orbits]
     return Spectrum(G, graph.degree, ramanujan_transform(G, orbits))
@@ -279,10 +287,12 @@ def graph_to_json(graph: CayleyGraph) -> dict:
 def graph_from_json(data: dict | str) -> CayleyGraph:
     """Parse the wire form; coordinates are reduced into canonical range.
 
-    Each row is read once: type-checked, length-checked and reduced straight
-    into the set.  A document with several faults is refused for the first
-    of: a wrong-typed row, the group, a short or long row (the first), the
-    zero element, an asymmetric element."""
+    The whole set is checked at once: every row exactly a list, of the
+    group's rank, of exact ints.  It is then reduced a column at a time
+    into the set.  Only a set that fails that check is walked a row at a
+    time, to find its first fault.  A document with several faults is
+    refused for the first of: a wrong-typed row, the group, a short or long
+    row (the first), the zero element, an asymmetric element."""
     if isinstance(data, str):
         try:
             data = json.loads(data)
@@ -299,6 +309,13 @@ def graph_from_json(data: dict | str) -> CayleyGraph:
         _json_int_rows(rows, "set")  # a wrong-typed row is reported first
         raise
     orders = group.orders
+    if (
+        set(map(type, rows)) <= {list}
+        and set(map(len, rows)) <= {len(orders)}
+        and set(map(type, itertools.chain.from_iterable(rows))) <= {int}
+    ):
+        columns = [map(int.__mod__, col, itertools.repeat(m)) for col, m in zip(zip(*rows), orders)]
+        return _checked_graph(group, _closed_set(group, set(zip(*columns))))
     ints = (int,) * len(orders)
     seen: set[Element] = set()
     add = seen.add

@@ -72,10 +72,15 @@ def _load_json(path: str):
             raise SpecFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
+# The buffer of an --output file: a search document of (Z2)^10, about
+# 430 KB, then goes out in one write call, not in one per 8 KiB.
+_OUTPUT_BUFFER = 1 << 20
+
+
 def _emit(args: argparse.Namespace, chunks: Iterable[str]) -> None:
     """Write the chunks, in order, to --output or to stdout."""
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with open(args.output, "w", encoding="utf-8", buffering=_OUTPUT_BUFFER) as fh:
             fh.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
@@ -259,8 +264,38 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
     print(f"warning: {message}", file=sys.stderr)
 
 
+# construct and verify take --tol, and no other option of theirs starts
+# with --t, so argparse takes each of these spellings for it
+_TOL_SPELLINGS = ("--t", "--to", "--tol")
+
+
+def _join_tolerance(argv: Sequence[str]) -> list[str]:
+    """argv with each "--tol VALUE" of construct or verify whose VALUE is a
+    number starting with "-" given as "--tol=VALUE" (and so for "--t" and
+    "--to").  argparse takes only plain decimals such as -1 for negative
+    numbers, and would read -inf or -1e-3 as an option; joined, the value
+    reaches the tolerance check."""
+    if not argv or argv[0] not in ("construct", "verify"):
+        return list(argv)
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in _TOL_SPELLINGS and arg.startswith("-") and _is_float(arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_tolerance(sys.argv[1:] if argv is None else argv))
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:

@@ -16,7 +16,8 @@ from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 from .boolfn import BooleanClass, BooleanFunction, GroupFunction, classify_boolean, plateaued_level, support
-from .cayley import CayleyGraph, make_graph
+# make_graph is not called here; bench/tracer.py wraps it under this name.
+from .cayley import CayleyGraph, _checked_graph, _closed_set, make_graph  # noqa: F401
 from .cyclotomic import _factorize, ramanujan_row
 from .engine import FRWitness, decide_fr, valid_k
 from .errors import HypothesisViolationError, InvalidGroupError, SpecFormatError, ZeroInSetError
@@ -117,10 +118,14 @@ def _lift(
     h_orders: Sequence[int], s0: Iterable[Element], s1: Iterable[Element]
 ) -> tuple[CayleyGraph, Element]:
     """Z_2 x H connected by {0} x S0  union  {1} x S1  union  {a}, with
-    a = (1, 0, ..., 0): the graph of families A, C, D and E."""
+    a = (1, 0, ..., 0): the graph of families A, C, D and E.  S0 and S1
+    hold elements of H that the builder made or checked, so only the
+    set-level checks run on the lift."""
+    group = make_group([2, *h_orders])
     a = (1,) + (0,) * len(h_orders)
-    conn = [(0, *s) for s in s0] + [(1, *s) for s in s1] + [a]
-    return make_graph([2, *h_orders], conn), a
+    conn = {(0, *s) for s in s0} | {(1, *s) for s in s1}
+    conn.add(a)
+    return _checked_graph(group, _closed_set(group, conn)), a
 
 
 def build_ramanujan_family(
@@ -177,13 +182,11 @@ def build_multi_prime_family(
             raise HypothesisViolationError(f"exponent must be >= 1, got {r}")
     big_n = math.prod(p ** (r - 1) for p, r in pairs)
     _require_fr_modulus(big_n, "prod p_i^(r_i - 1)")
-    orders = [p**r for p, r in pairs]
-    make_group(orders)  # the order ceiling, before units_mod(p**r) runs
-    unit_lists = [sorted(units_mod(p**r)) for p, r in pairs]
-    conn = [tuple(t) for t in itertools.product(*unit_lists)]
+    group = make_group([p**r for p, r in pairs])  # the ceiling, before units_mod(p**r) runs
+    conn = set(itertools.product(*(units_mod(m) for m in group.orders)))
     a = (2 ** (pairs[0][1] - 1),) + (0,) * (len(pairs) - 1)
-    conn.append(a)
-    graph = make_graph(orders, conn)
+    conn.add(a)
+    graph = _checked_graph(group, _closed_set(group, conn))
     label = "multi-prime " + "*".join(f"{p}^{r}" for p, r in pairs)
     return BuiltFamily(
         FamilyVariant.MULTI_PRIME_B, graph, a, _fr_prediction(a, big_n), label
@@ -264,15 +267,12 @@ def build_cublike_family(
     Requires min(v_2(d0 + d1), v_2(d0 - d1)) >= 3 and, after computing the
     actual phase modulus M, kappa = min(v_2(M), v_2(d0 + d1), v_2(d0 - d1))
     >= 3.  Predicts FR at t = 2*pi/2^kappa with phases (e^{it}, e^{-it})."""
-    rows = [tuple(int(c) for c in row) for row in s0] + [
-        tuple(int(c) for c in row) for row in s1
-    ]
     if n_bits is None:
-        if not rows:
+        if not (s0 or s1):
             raise SpecFormatError(
                 "cannot infer the bit width from two empty slice sets"
             )
-        n_bits = len(rows[0])
+        n_bits = len((s0 or s1)[0])
     if n_bits < 1:
         raise ValueError(f"bit width must be at least 1, got {n_bits}")
     base = make_group([2] * n_bits)

@@ -34,16 +34,31 @@ def units_mod(e: int) -> list[int]:
 MAX_GROUP_ORDER = 1 << 20
 
 
-def _has_full_rank_mod(rows: Sequence[Sequence[int]], cols: Sequence[int], p: int) -> bool:
+def _has_full_rank_mod(rows: Iterable[Sequence[int]], cols: Sequence[int], p: int) -> bool:
     """True iff the given columns of rows, reduced mod the prime p, span
     F_p^len(cols).  Gaussian elimination over the rows in order, each
     distinct reduced vector tried once, that stops at full rank."""
+    return _rank_mod(_reduced_rows(rows, cols, p), len(cols), p)[0]
+
+
+def _reduced_rows(
+    rows: Iterable[Sequence[int]], cols: Sequence[int], p: int
+) -> Iterator[tuple[int, ...]]:
+    """The given columns of each row, mod p, each row taken when reached."""
+    if len(cols) == 1:  # itemgetter of one index gives the entry, not a tuple
+        return zip(map(p.__rmod__, map(operator.itemgetter(*cols), rows)))
+    mod_p = itertools.repeat(p.__rmod__)
+    return map(tuple, map(map, mod_p, map(operator.itemgetter(*cols), rows)))
+
+
+def _rank_mod(vectors: Iterable[tuple[int, ...]], width: int, p: int) -> tuple[bool, int, int]:
+    """(full rank, vectors read, reductions) of _has_full_rank_mod's
+    elimination over vectors of F_p^width; a reduction is one subtraction
+    of a pivot row."""
     basis: dict[int, list[int]] = {}  # pivot position -> row, pivot 1, zero before it
-    width = len(cols)
     tried: set[tuple[int, ...]] = set()
-    # the reduced rows in order, each made when it is reached
-    columns = (map(operator.itemgetter(i), rows) for i in cols)
-    for v in zip(*(map(operator.mod, col, itertools.repeat(p)) for col in columns)):
+    read = reductions = 0
+    for read, v in enumerate(vectors, 1):
         if v in tried:
             continue
         tried.add(v)
@@ -56,10 +71,40 @@ def _has_full_rank_mod(rows: Sequence[Sequence[int]], cols: Sequence[int], p: in
                 inv = pow(c, -1, p)
                 basis[j] = [x * inv % p for x in v]
                 if len(basis) == width:
-                    return True
+                    return True, read, reductions
                 break
             v = [(x - c * y) % p for x, y in zip(v, pivot_row)]
-    return len(basis) == width
+            reductions += 1
+    return len(basis) == width, read, reductions
+
+
+# 1/phi, phi the golden ratio, the hardest number to approximate by
+# fractions: the multiples of a step near n/phi mod n leave gaps of at most
+# three lengths, close to one another (the three-distance theorem).
+_INV_PHI = (math.sqrt(5) - 1) / 2
+
+
+def _coprime_stride(n: int) -> int:
+    """The integer nearest n/phi that is coprime to n; 1 when n <= 2."""
+    if n <= 2:
+        return 1
+    x = n * _INV_PHI
+    q = round(x)
+    # the candidates by distance from x: q, q + step, q - step, q + 2 step, ...
+    step = 1 if x > q else -1
+    while math.gcd(q, n) != 1:
+        q += step
+        step = -step - (1 if step > 0 else -1)
+    return q
+
+
+def _stride_order(rows: Sequence[Element], q: int) -> Iterator[Element]:
+    """rows[k q mod n] for k = 0, ..., n - 1, with n = len(rows) and q
+    coprime to n, each looked up when it is reached: with q from
+    _coprime_stride, a permutation of rows whose every run of consecutive
+    entries samples the whole list."""
+    n = len(rows)
+    return map(rows.__getitem__, map(operator.mod, range(0, q * n, q), itertools.repeat(n)))
 
 
 def make_group(orders: Sequence[int]) -> "FiniteAbelianGroup":
@@ -192,9 +237,31 @@ class FiniteAbelianGroup:
         p, which contains pG, and G/pG is F_p^r_p with r_p the number of
         factors whose order p divides.  So gens generate G exactly when, for
         every prime p | n, their coordinates on those factors, mod p, have
-        rank r_p.  Cost O(|gens| * r^2) per prime."""
-        rows = list(gens)
-        return all(_has_full_rank_mod(rows, cols, p) for p, cols in self._frattini_columns)
+        rank r_p.  Cost O(|gens| * r^2) per prime.
+
+        Rank does not depend on the order of the rows, so they are read in
+        a coprime-stride order (see _stride_order), not as given: a sorted
+        set that lists a hyperplane first, such as the lift {0} x S0 before
+        {1} x S1, then reaches full rank in a few rows, not past the half."""
+        return self._rank_test(gens)[0]
+
+    def rank_test_counts(self, gens: Iterable[Element]) -> tuple[int, int]:
+        """(rows read, reductions) of is_generated_by(gens), summed over the
+        primes it tests, up to the first without full rank."""
+        return self._rank_test(gens)[1:]
+
+    def _rank_test(self, gens: Iterable[Element]) -> tuple[bool, int, int]:
+        # is_generated_by with its work: (generated, rows read, reductions)
+        rows = tuple(gens)
+        q = _coprime_stride(len(rows))
+        read = reductions = 0
+        for p, cols in self._frattini_columns:
+            vectors = _reduced_rows(_stride_order(rows, q), cols, p)
+            full, r, k = _rank_mod(vectors, len(cols), p)
+            read, reductions = read + r, reductions + k
+            if not full:
+                return False, read, reductions
+        return True, read, reductions
 
     def subgroup_generated(self, gens: Iterable[Element]) -> set[Element]:
         """Closure of gens together with 0 under addition: a breadth-first

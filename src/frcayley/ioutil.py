@@ -188,15 +188,16 @@ def _record_blocks(opening, rest, record, choices, twos, closings, low, exact) -
     yield ("\n  ]" if listed else "[]") + rest
 
 
-def append_int_rows(text: str, key: str, rows: Sequence[Sequence[int]]) -> str:
+def append_int_rows(text: str, key: str, rows: Sequence[tuple[int, ...]]) -> str:
     """The canonical text of {**rest, key: [list(r) for r in rows]}, given
     text = dump_json(rest) for a non-empty rest whose keys all sort before
-    key, and non-empty rows of ints (a connection set's elements).  Each
-    coordinate is written by int.__repr__, with no per-row type check."""
+    key, and non-empty tuples of ints of one length (a connection set's
+    elements).  Each row is written by one %-format, whose %d renders an
+    int as int.__repr__ does, with no per-row type check."""
     # the list sits one indent deep, its rows two, their coordinates three
     if rows:
-        sep = ",\n      "
-        body = "\n    ],\n    [\n      ".join(sep.join(map(int.__repr__, r)) for r in rows)
+        row = ",\n      ".join(["%d"] * len(rows[0]))
+        body = "\n    ],\n    [\n      ".join(map(row.__mod__, rows))
         listed = "[\n    [\n      " + body + "\n    ]\n  ]"
     else:
         listed = "[]"

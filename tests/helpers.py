@@ -142,3 +142,53 @@ def transform_boolean(
 def graph_of_support(f: BooleanFunction) -> CayleyGraph:
     """Cay(F_2^n, supp(f)); requires f(0) = 0."""
     return quiet_graph([2] * f.n, support(f))
+
+
+# Graph specs with several faults, as (id, document, exit code, stderr
+# line): each is refused for the first of a wrong-typed row (2), the group
+# (3), a short or long row (2), the zero element (3), an asymmetric element
+# (3).
+GRAPH_SPEC_FAULTS = [
+    (
+        "bad-group-then-bool",
+        {"group": [1, 3], "set": [[0, 1], [2, 2], [0, True]]},
+        2,
+        "error: field 'set' must hold integers, got True",
+    ),
+    (
+        "ceiling-then-short",
+        {"group": [2048, 1024], "set": [[0, 1], [0]]},
+        3,
+        "error: group order exceeds the ceiling of 1048576 elements",
+    ),
+    (
+        "short-then-bool",
+        {"group": [2, 3], "set": [[0, 1], [1], [0, 2], [False, 1]]},
+        2,
+        "error: field 'set' must hold integers, got False",
+    ),
+    (
+        "long-then-short",
+        {"group": [2, 3], "set": [[0, 1], [1, 0, 0], [0, 2], [1]]},
+        2,
+        "error: coordinate row [1, 0, 0] has 3 entries, expected 2",
+    ),
+    (
+        "zero-among-asymmetric",
+        {"group": [2, 5], "set": [[0, 1], [0, 2], [2, -5], [0, 4]]},
+        3,
+        "error: the connection set must not contain the identity",
+    ),
+    (
+        "two-asymmetric",
+        {"group": [4, 9], "set": [[1, 2], [3, 7], [0, 4], [2, 0]]},
+        3,
+        "error: element (0, 4) is in the set but its inverse (0, 5) is not",
+    ),
+    (
+        "two-asymmetric-cyclic",
+        {"group": [100], "set": [[37], [3]]},
+        3,
+        "error: element (3,) is in the set but its inverse (97,) is not",
+    ),
+]

@@ -7,12 +7,17 @@ library against these.
 
 from __future__ import annotations
 
+import json
 from typing import Optional
 
 import numpy as np
 
 import frcayley as fr
 from frcayley import CayleyGraph, FiniteAbelianGroup, FRWitness, TransferMatrix, VerificationReport
+from frcayley.cayley import _checked_graph, _closed_set
+from frcayley.errors import InvalidGroupError, SpecFormatError
+from frcayley.groups import make_group
+from frcayley.ioutil import _json_int_list, _json_int_rows, _json_list, _json_object
 from frcayley.oracle import _require_dense
 
 
@@ -137,3 +142,39 @@ def verify_fr(graph: CayleyGraph, witness: FRWitness, tol: float = 1e-9) -> Veri
     defect = gram_defect(H.entries)
     passed = permutation_ok and max_dev <= tol and defect <= tol
     return VerificationReport(passed, max_dev, tol, defect, permutation_ok)
+
+
+def graph_from_json_by_rows(data: dict | str) -> CayleyGraph:
+    """graph_from_json one row at a time: each row type-checked,
+    length-checked and reduced straight into the set, with the faults
+    reported in the same order."""
+    if isinstance(data, str):
+        try:
+            data = json.loads(data)
+        except (ValueError, RecursionError) as exc:
+            raise SpecFormatError(f"invalid JSON: {exc}") from exc
+    doc = _json_object(data, "graph document", ("group", "set"))
+    orders = _json_int_list(doc["group"], "group")
+    rows = _json_list(doc["set"], "set")
+    try:
+        group = make_group(orders)
+    except InvalidGroupError:
+        _json_int_rows(rows, "set")  # a wrong-typed row is reported first
+        raise
+    orders = group.orders
+    ints = (int,) * len(orders)
+    seen = set()
+    bad = None
+    for row in rows:
+        if type(row) is not list or tuple(map(type, row)) != ints:
+            row = _json_int_list(row, "set")  # raises unless a list of ints
+            if len(row) != len(orders):
+                if bad is None:
+                    bad = row
+                continue
+        seen.add(tuple(map(int.__mod__, row, orders)))
+    if bad is not None:
+        raise SpecFormatError(
+            f"coordinate row {bad} has {len(bad)} entries, expected {len(orders)}"
+        )
+    return _checked_graph(group, _closed_set(group, seen))

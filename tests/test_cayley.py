@@ -32,13 +32,14 @@ from frcayley import (
 )
 from frcayley.boolfn import hadamard_transform, ramanujan_transform
 from helpers import (
+    GRAPH_SPEC_FAULTS,
     graph_from_set,
     naive_spectrum_complex,
     quiet_graph,
     random_symmetric_set,
     random_unit_closed_set,
 )
-from reference import adjacency_matrix
+from reference import adjacency_matrix, graph_from_json_by_rows
 
 
 class TestValidateConnectionSet:
@@ -621,6 +622,76 @@ class TestJson:
         with pytest.raises(error) as caught:
             graph_from_json(doc)
         assert str(caught.value) == message
+
+
+def read_outcome(reader, doc):
+    """What a reader makes of doc: the group, the set and the warnings, or
+    the type and text of the error it raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            graph = reader(doc)
+        except fr.FrCayleyError as exc:
+            return type(exc), str(exc)
+    return graph.group.orders, graph.connection.elements, [str(w.message) for w in caught]
+
+
+@st.composite
+def graph_documents(draw):
+    """Graph documents: the rows of a random set, most often made
+    symmetric and zero-free, each coordinate c written as c + k m with k
+    from -2^70 to 2^70, rows repeated; now and then one row made faulty."""
+    orders = draw(st.lists(st.integers(min_value=2, max_value=7), min_size=1, max_size=3))
+    group = make_group(orders)
+    element = st.tuples(*(st.integers(min_value=0, max_value=m - 1) for m in orders))
+    elements = draw(st.lists(element, max_size=8))
+    if draw(st.integers(min_value=0, max_value=3)):
+        elements = [g for g in elements if any(g)]
+        elements += [group.neg(g) for g in elements]
+    lift = st.one_of(
+        st.just(0), st.integers(min_value=-3, max_value=3), st.integers(-(2**70), 2**70)
+    )
+    rows = [[c + m * draw(lift) for c, m in zip(g, orders)] for g in elements]
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else []
+    rows = draw(st.permutations(rows))
+    if rows and not draw(st.integers(min_value=0, max_value=4)):
+        i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        rows[i] = draw(
+            st.one_of(
+                st.just(rows[i][:-1]),
+                st.just(rows[i] + [0]),
+                st.just(tuple(rows[i])),
+                st.sampled_from([True, 1.5, None, "1", 0]).map(lambda c: rows[i][:-1] + [c]),
+            )
+        )
+    return {"group": orders, "set": rows}
+
+
+class TestReaderAgreesWithPerRowReader:
+    """graph_from_json checks and reduces the set by columns; the per-row
+    reader it replaced is the reference, for the graph, the warnings and
+    the type and text of the first fault."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph_documents())
+    def test_random_documents(self, doc):
+        assert read_outcome(graph_from_json, doc) == read_outcome(graph_from_json_by_rows, doc)
+
+    @pytest.mark.parametrize(
+        "doc", [case[1] for case in GRAPH_SPEC_FAULTS], ids=[case[0] for case in GRAPH_SPEC_FAULTS]
+    )
+    def test_first_fault_documents(self, doc):
+        outcome = read_outcome(graph_from_json, doc)
+        assert outcome == read_outcome(graph_from_json_by_rows, doc)
+        assert issubclass(outcome[0], fr.FrCayleyError)
+
+    def test_empty_set_and_subclassed_rows(self):
+        class Row(list):
+            pass
+
+        for rows in ([], [Row([0, 1]), Row([0, 2])], [[0, 1], Row([0, -1])]):
+            doc = {"group": [2, 3], "set": rows}
+            assert read_outcome(graph_from_json, doc) == read_outcome(graph_from_json_by_rows, doc)
 
 
 @given(st.data())

@@ -27,7 +27,7 @@ from frcayley import decide_fr, graph_to_json, make_graph
 from frcayley.cli import build_parser, main
 from frcayley.ioutil import append_int_rows, dump_json, involution_records
 from conftest import BENT4_SUPPORT, PRISM_SET, UNITS_9, UNITS_SET
-from helpers import random_unit_closed_set
+from helpers import GRAPH_SPEC_FAULTS, random_unit_closed_set
 
 
 # Nested dicts and lists, empty containers, bools inside int lists, None,
@@ -252,18 +252,30 @@ class TestConstructCommand:
         assert out == ""
         assert "tolerance" in err
 
-    @pytest.mark.parametrize("tol", ["inf", "1e400", "nan"])
+    @pytest.mark.parametrize("tol", ["inf", "1e400", "nan", "-inf"])
     def test_nonfinite_tolerance_is_exit_three(self, capsys, tmp_path, tol):
         # inf would pass any deviation and be written as the non-JSON
-        # token Infinity; 1e400 parses to inf
+        # token Infinity; 1e400 parses to inf; -inf, which argparse would
+        # read as an option, reaches the same check
         spec = write_json(tmp_path, "famE.json", {"variant": "BENT_E", "f": "7888"})
         target = tmp_path / "built.json"
         code, out, err = run(
             capsys, ["construct", spec, "--verify", "--tol", tol, "-o", str(target)]
         )
         assert (code, out) == (3, "")
-        assert "tolerance" in err
+        assert err == f"error: tolerance must be positive and finite, got {float(tol)}\n"
         assert not target.exists()
+
+    @pytest.mark.parametrize("flag", ["--t", "--to", "--tol"])
+    @pytest.mark.parametrize("tol", ["-inf", "-1e-3"])
+    def test_negative_tolerance_after_any_spelling_is_exit_three(
+        self, capsys, tmp_path, flag, tol
+    ):
+        # argparse takes --t and --to for --tol; each reaches the check
+        spec = write_json(tmp_path, "famE.json", {"variant": "BENT_E", "f": "7888"})
+        code, out, err = run(capsys, ["construct", spec, "--verify", flag, tol])
+        assert (code, out) == (3, "")
+        assert err == f"error: tolerance must be positive and finite, got {float(tol)}\n"
 
     def test_unknown_variant_is_exit_two(self, capsys, tmp_path):
         spec = write_json(tmp_path, "odd.json", {"variant": "NOPE"})
@@ -373,7 +385,7 @@ class TestVerifyCommand:
         assert code == (0 if doc["pass"] else 1)
 
 
-    @pytest.mark.parametrize("tol", ["inf", "1e400", "nan"])
+    @pytest.mark.parametrize("tol", ["inf", "1e400", "nan", "-inf"])
     def test_nonfinite_tolerance_is_exit_three(self, capsys, tmp_path, units_graph, tol):
         spec, cert = self._write_pair(
             tmp_path, units_graph, decide_fr(units_graph, (1, 0))
@@ -381,8 +393,33 @@ class TestVerifyCommand:
         target = tmp_path / "report.json"
         code, out, err = run(capsys, ["verify", spec, cert, "--tol", tol, "-o", str(target)])
         assert (code, out) == (3, "")
-        assert err.startswith("error: tolerance must be")
+        assert err == f"error: tolerance must be positive and finite, got {float(tol)}\n"
         assert not target.exists()
+
+    @pytest.mark.parametrize("flag", ["--t", "--to", "--tol"])
+    @pytest.mark.parametrize("tol", ["-inf", "-1e-3"])
+    def test_negative_tolerance_after_any_spelling_is_exit_three(
+        self, capsys, tmp_path, units_graph, flag, tol
+    ):
+        spec, cert = self._write_pair(
+            tmp_path, units_graph, decide_fr(units_graph, (1, 0))
+        )
+        code, out, err = run(capsys, ["verify", spec, cert, flag, tol])
+        assert (code, out) == (3, "")
+        assert err == f"error: tolerance must be positive and finite, got {float(tol)}\n"
+
+    def test_tolerance_followed_by_an_option_is_a_usage_error(
+        self, capsys, tmp_path, units_graph
+    ):
+        # only a number is joined to --tol: "-o" stays an option, so --tol
+        # has no value, as before
+        spec, cert = self._write_pair(
+            tmp_path, units_graph, decide_fr(units_graph, (1, 0))
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", spec, cert, "--tol", "-o", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
 
     def test_zero_tolerance_is_exit_three(self, capsys, tmp_path, units_graph):
         spec, cert = self._write_pair(
@@ -960,52 +997,8 @@ class TestFirstFaultOfTheGraphSpec:
 
     @pytest.mark.parametrize(
         "doc, code, line",
-        [
-            (
-                {"group": [1, 3], "set": [[0, 1], [2, 2], [0, True]]},
-                2,
-                "error: field 'set' must hold integers, got True",
-            ),
-            (
-                {"group": [2048, 1024], "set": [[0, 1], [0]]},
-                3,
-                "error: group order exceeds the ceiling of 1048576 elements",
-            ),
-            (
-                {"group": [2, 3], "set": [[0, 1], [1], [0, 2], [False, 1]]},
-                2,
-                "error: field 'set' must hold integers, got False",
-            ),
-            (
-                {"group": [2, 3], "set": [[0, 1], [1, 0, 0], [0, 2], [1]]},
-                2,
-                "error: coordinate row [1, 0, 0] has 3 entries, expected 2",
-            ),
-            (
-                {"group": [2, 5], "set": [[0, 1], [0, 2], [2, -5], [0, 4]]},
-                3,
-                "error: the connection set must not contain the identity",
-            ),
-            (
-                {"group": [4, 9], "set": [[1, 2], [3, 7], [0, 4], [2, 0]]},
-                3,
-                "error: element (0, 4) is in the set but its inverse (0, 5) is not",
-            ),
-            (
-                {"group": [100], "set": [[37], [3]]},
-                3,
-                "error: element (3,) is in the set but its inverse (97,) is not",
-            ),
-        ],
-        ids=[
-            "bad-group-then-bool",
-            "ceiling-then-short",
-            "short-then-bool",
-            "long-then-short",
-            "zero-among-asymmetric",
-            "two-asymmetric",
-            "two-asymmetric-cyclic",
-        ],
+        [case[1:] for case in GRAPH_SPEC_FAULTS],
+        ids=[case[0] for case in GRAPH_SPEC_FAULTS],
     )
     @pytest.mark.parametrize("argv", [["spectrum"], ["search"], ["check", "--a", "1,0"]])
     def test_exit_code_and_message(self, capsys, tmp_path, doc, code, line, argv):

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 import frcayley as fr
 from frcayley import InvalidGroupError, RootOfUnitySum, make_group, units_mod
-from frcayley.groups import MAX_GROUP_ORDER, _has_full_rank_mod
+from frcayley.groups import (
+    MAX_GROUP_ORDER,
+    _coprime_stride,
+    _has_full_rank_mod,
+    _rank_mod,
+    _reduced_rows,
+    _stride_order,
+)
 
 # Small random groups for property tests: one to three cyclic factors.
 group_orders = st.lists(st.integers(min_value=2, max_value=9), min_size=1, max_size=3)
@@ -337,6 +344,69 @@ class TestIsGeneratedBy:
                 y = data.draw(st.sampled_from(gens))
                 gens.append(g.add(x, g.scale(data.draw(st.integers(0, 5)), y)))
         assert g.is_generated_by(gens) == (len(g.subgroup_generated(gens)) == g.n)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=2, max_value=6), min_size=1, max_size=3).filter(
+            lambda o: math.prod(o) <= 200
+        ),
+        st.data(),
+    )
+    def test_agrees_with_closure_on_sorted_lifts(self, h_orders, data):
+        # {0} x S0, {1} x S1 and a = (1, 0, ..., 0) on Z_2 x H, sorted: the
+        # lift of S0 comes first and lies in the hyperplane x_0 = 0
+        g = make_group([2, *h_orders])
+        element = st.tuples(*(st.integers(min_value=0, max_value=m - 1) for m in h_orders))
+        s0 = data.draw(st.lists(element, max_size=12))
+        s1 = data.draw(st.lists(element, max_size=3))
+        rows = {(0, *s) for s in s0} | {(1, *s) for s in s1}
+        if data.draw(st.booleans()):
+            rows.add((1,) + (0,) * len(h_orders))
+        rows = sorted(rows)
+        assert g.is_generated_by(rows) == (len(g.subgroup_generated(rows)) == g.n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=2, max_value=6), min_size=1, max_size=3).filter(
+            lambda o: math.prod(o) <= 200
+        ),
+        st.data(),
+    )
+    def test_only_completing_row_sorts_last(self, h_orders, data):
+        # {0} x S0 with S0 generating H, then one row (1, x), the largest:
+        # the set generates Z_2 x H, and no set without that row does
+        g = make_group([2, *h_orders])
+        element = st.tuples(*(st.integers(min_value=0, max_value=m - 1) for m in h_orders))
+        units = [tuple(int(i == j) for j in range(len(h_orders))) for i in range(len(h_orders))]
+        s0 = units + data.draw(st.lists(element, max_size=10))
+        rows = sorted({(0, *s) for s in s0}) + [(1, *data.draw(element))]
+        assert rows[-1] == max(rows)
+        assert g.is_generated_by(rows) and len(g.subgroup_generated(rows)) == g.n
+        assert not g.is_generated_by(rows[:-1])
+
+    def test_stride_order_is_a_permutation(self):
+        for n in range(40):
+            rows = [(i,) for i in range(n)]
+            assert sorted(_stride_order(rows, _coprime_stride(n))) == rows
+
+    def test_stride_reaches_full_rank_early_on_a_sorted_lift(self):
+        # The family-E lift of a bent function on F_2^8 of weight 136:
+        # |S| = 273 on (Z2)^9, its first 136 rows in the hyperplane x_0 = 0.
+        # In sorted order the rank test reads 137 rows and makes 536
+        # reductions; in the stride order it makes few.
+        f = fr.BooleanFunction.from_hex(
+            "94339964eb23e674c8d2c585b7c2ba95f0a8fdff8fb882efac49a11ed359de0e"
+        )
+        graph = fr.build_bent_family(f).graph
+        rows = graph.connection.elements
+        assert len(rows) == 273
+        assert _rank_mod(_reduced_rows(rows, range(9), 2), 9, 2) == (True, 137, 536)
+        # the counts of the loop that is_generated_by, and so
+        # CayleyGraph.connected, runs
+        read, reductions = graph.group.rank_test_counts(rows)
+        assert read <= 20 and reductions <= 40
+        assert graph.connected
 
 
 class TestAddNegScale:

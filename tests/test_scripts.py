@@ -63,6 +63,14 @@ def test_connectivity_probe_runs_within_a_second(probe):
     assert report["n"] == 10**4 and report["degree"] == 4000
     assert report["connected"] is True
     assert 0 <= report["make_graph_cpu_s"] < 1.0
+    # the rank test on two sorted lifts, which list a hyperplane first,
+    # reaches full rank within a few rows of the stride order
+    for key, n in (("family_d", 256), ("family_e", 512)):
+        lift = report[key]
+        assert set(lift) == {"n", "degree", "rows_read", "reductions", "rank_test_cpu_s"}
+        assert lift["n"] == n and lift["degree"] > 100
+        assert 0 < lift["rows_read"] <= 20 and 0 <= lift["reductions"] <= 40
+        assert 0 <= lift["rank_test_cpu_s"] < 0.01
 
 
 def test_search_probe_folds_every_involution_at_once(probe):
