@@ -37,8 +37,10 @@ fresh ones), timed in CPU seconds:
   (n = 256, the dense oracle's cap) whose slices are both the support of
   the inner-product bent function on F_2^6 lifted to F_2^7, then `fr verify`
   on the graph and certificate it emits, each run in process five times
-  (the least CPU time is reported); then the tracemalloc peak of one
-  verify_fr on the same graph and prediction.
+  (the least CPU time is reported); the least CPU time of five
+  build_from_spec calls on that spec, and of five engine_agrees calls on
+  the family it returns; then the tracemalloc peak of one verify_fr on the
+  same graph and prediction.
 
 Run as a script, it sets each BLAS thread count the environment leaves
 unset to one before numpy loads.
@@ -74,6 +76,7 @@ sys.path.insert(0, str(SRC))
 
 import frcayley as fr
 from frcayley.cli import main as fr_main
+from frcayley.families import build_from_spec, engine_agrees
 
 
 def unit_closed_rows(m: int) -> list[tuple[int, int, int]]:
@@ -277,12 +280,19 @@ def probe_spectrum() -> dict:
 def _least_cpu(argv: list[str]) -> tuple[int, float]:
     """Run `fr argv` in process five times: the largest exit code and the
     least CPU seconds."""
-    codes, cpu = [], []
+    codes, cpu = _least_of_5(fr_main, argv)
+    return max(codes), cpu
+
+
+def _least_of_5(fn, *args) -> tuple[list, float]:
+    """Call fn(*args) five times: the results and the least CPU seconds of
+    one call."""
+    results, cpu = [], []
     for _ in range(5):
         start = time.process_time()
-        codes.append(fr_main(argv))
+        results.append(fn(*args))
         cpu.append(time.process_time() - start)
-    return max(codes), min(cpu)
+    return results, min(cpu)
 
 
 def bent_lift() -> list[list[int]]:
@@ -313,6 +323,9 @@ def probe_oracle() -> dict:
             ["verify", str(graph), str(cert), "-o", str(report)]
         )
         verified = json.loads(report.read_text(encoding="utf-8"))
+    # two layers of the construct path, on the graph the builder returns
+    built, build_cpu = _least_of_5(build_from_spec, doc)
+    agrees, agrees_cpu = _least_of_5(engine_agrees, built[-1])
     family = fr.build_cublike_family(lifted, lifted)
     tracemalloc.start()
     try:
@@ -327,6 +340,9 @@ def probe_oracle() -> dict:
         "verify_pass": verified["pass"],
         "construct_verify_cpu_s": construct_cpu,
         "verify_cpu_s": verify_cpu,
+        "build_from_spec_cpu_s": build_cpu,
+        "engine_agrees_cpu_s": agrees_cpu,
+        "engine_agrees": all(agrees),
         "verify_fr_tracemalloc_peak_mib": peak / 2**20,
     }
 

@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .cyclotomic import RootOfUnitySum, ramanujan_row
+from .cyclotomic import ramanujan_row
 from .errors import NotClassFunctionError, SpecFormatError
 from .groups import Element, FiniteAbelianGroup, make_group
 
@@ -278,22 +278,6 @@ class GroupFunction:
         return tuple(out)
 
 
-def group_fourier(f: GroupFunction) -> list[RootOfUnitySum]:
-    """Exact Fourier coefficients fhat(chi_z) = sum_x f(x) * conj(chi_z(x)),
-    listed in element order of z."""
-    G = f.group
-    e = G.exponent
-    out = []
-    elements = list(G.elements())
-    for z in elements:
-        counts = [0] * e
-        for x, v in zip(elements, f.values):
-            if v:
-                counts[(-G.character_exponent(z, x)) % e] += v
-        out.append(RootOfUnitySum(e, tuple(counts)))
-    return out
-
-
 def fourier_integers(f: GroupFunction) -> Optional[list[int]]:
     """Integer Fourier spectrum in element order, or None if any
     coefficient is irrational.
@@ -303,7 +287,8 @@ def fourier_integers(f: GroupFunction) -> Optional[list[int]]:
     every coefficient is rational exactly when f is a class function, and a
     class function gets exact integers without cyclotomic arithmetic: the
     Walsh transform when the exponent is 2, else one Ramanujan row per unit
-    orbit.  `group_fourier` is the cyclotomic reference."""
+    orbit.  The tests check both against one cyclotomic count vector per
+    element."""
     orbits = f.unit_orbits
     if orbits is None:
         return None

@@ -25,7 +25,7 @@ from .errors import (
     ZeroInSetError,
 )
 from .groups import Element, FiniteAbelianGroup, make_group, units_mod
-from .ioutil import _json_int_list, _json_int_rows, _json_list, _json_object
+from .ioutil import _LISTS, _exact_int_rows, _json_int_list, _json_int_rows, _json_list, _json_object
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,8 @@ def _closed_set(group: FiniteAbelianGroup, seen: set[Element]) -> ConnectionSet:
     # The set-level checks of a set of reduced elements, then the sort.
     if group.zero in seen:
         raise ZeroInSetError("the connection set must not contain the identity")
+    if group.exponent == 2:
+        return ConnectionSet(tuple(sorted(seen)))  # every element is its own inverse
     # the inverses of the whole set, negated one coordinate at a time
     cols = zip(zip(*seen), group.orders)
     if set(zip(*([-c % m for c in col] for col, m in cols))) != seen:
@@ -142,6 +144,25 @@ class CayleyGraph:
                 seen |= orbit
             reps.append((s, d))
         return tuple(reps)
+
+    @cached_property
+    def _spectrum(self) -> "Spectrum":
+        # spectrum(self), computed on its first call
+        G = self.group
+        if self.unit_orbits is None:
+            return Spectrum(G, self.degree, None, self.connection)
+        if G.exponent == 2:
+            # the ranks of the set at once: its 0/1 rows times the place values
+            r = len(G.orders)
+            rows = np.array(self.connection.elements, dtype=np.int64).reshape(-1, r)
+            indicator = np.zeros(G.n, dtype=np.int64)
+            indicator[rows @ (1 << np.arange(r - 1, -1, -1, dtype=np.int64))] = 1
+            by_rank = hadamard_transform(indicator)
+        else:
+            orbits = [(s, d, 1) for s, d in self.unit_orbits]
+            by_rank = ramanujan_transform(G, orbits)
+        by_rank.flags.writeable = False
+        return Spectrum(G, self.degree, by_rank)
 
 
 def make_graph(
@@ -241,33 +262,13 @@ def spectrum(graph: CayleyGraph) -> Spectrum:
     root of unity with exponent the pairing of z and s.  It is integral iff
     S is a union of unit orbits (Bridges-Mena), else returned at once.  It
     is then the Walsh transform of S (exponent 2) or one Ramanujan row per
-    unit orbit, with `cyclotomic_spectrum` as the reference for both."""
-    G = graph.group
-    if graph.unit_orbits is None:
-        return Spectrum(G, graph.degree, None, graph.connection)
-    if G.exponent == 2:
-        # the ranks of the set at once: its 0/1 rows times the place values
-        r = len(G.orders)
-        rows = np.array(graph.connection.elements, dtype=np.int64).reshape(-1, r)
-        indicator = np.zeros(G.n, dtype=np.int64)
-        indicator[rows @ (1 << np.arange(r - 1, -1, -1, dtype=np.int64))] = 1
-        return Spectrum(G, graph.degree, hadamard_transform(indicator))
-    orbits = [(s, d, 1) for s, d in graph.unit_orbits]
-    return Spectrum(G, graph.degree, ramanujan_transform(G, orbits))
+    unit orbit.  The tests check both against one cyclotomic count vector
+    per element.
 
-
-def cyclotomic_spectrum(graph: CayleyGraph) -> list[RootOfUnitySum]:
-    """Eigenvalues in element order, each a count vector reduced modulo the
-    cyclotomic polynomial: the reference for the transforms of `spectrum`."""
-    G = graph.group
-    e = G.exponent
-    out = []
-    for z in G.elements():
-        counts = [0] * e
-        for s in graph.connection:
-            counts[G.character_exponent(z, s)] += 1
-        out.append(RootOfUnitySum(e, tuple(counts)).reduced())
-    return out
+    It is computed once per graph object and kept on it, as unit_orbits
+    and connected are, so every caller on one graph shares one Spectrum;
+    its by_rank is read-only."""
+    return graph._spectrum
 
 
 def is_integral(graph: CayleyGraph) -> bool:
@@ -309,11 +310,7 @@ def graph_from_json(data: dict | str) -> CayleyGraph:
         _json_int_rows(rows, "set")  # a wrong-typed row is reported first
         raise
     orders = group.orders
-    if (
-        set(map(type, rows)) <= {list}
-        and set(map(len, rows)) <= {len(orders)}
-        and set(map(type, itertools.chain.from_iterable(rows))) <= {int}
-    ):
+    if _exact_int_rows(rows, _LISTS) and set(map(len, rows)) <= {len(orders)}:
         columns = [map(int.__mod__, col, itertools.repeat(m)) for col, m in zip(zip(*rows), orders)]
         return _checked_graph(group, _closed_set(group, set(zip(*columns))))
     ints = (int,) * len(orders)

@@ -32,16 +32,16 @@ from .boolfn import (
     support,
     walsh_transform,
 )
-from .cayley import graph_from_json, graph_to_json, spectrum
+from .cayley import graph_from_json, spectrum
 # search_all is not called here; bench/tracer.py wraps it under this name.
 from .engine import FRWitness, WitnessKind, decide_fr, search_all, search_classes  # noqa: F401
 from .errors import FrCayleyError, HypothesisViolationError, SpecFormatError
 from .families import build_from_spec, engine_agrees
 from .groups import make_group
 from .ioutil import (
+    IntRows,
     _json_int_list,
     _json_object,
-    append_int_rows,
     dump_json,
     involution_records,
 )
@@ -93,15 +93,14 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         eigen = spec.by_rank.tolist()
     else:
         eigen = [spec.approx(z).real for z in graph.group.elements()]
-    head = dump_json(
-        {
-            "group": list(graph.group.orders),
-            "degree": graph.degree,
-            "integral": spec.is_integral,
-            "eigenvalues": eigen,
-        }
-    )
-    _emit(args, [append_int_rows(head, "set", graph.connection.elements)])
+    document = {
+        "group": list(graph.group.orders),
+        "degree": graph.degree,
+        "integral": spec.is_integral,
+        "eigenvalues": eigen,
+        "set": IntRows(graph.connection.elements),
+    }
+    _emit(args, [dump_json(document)])
     return EXIT_OK
 
 
@@ -118,8 +117,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
             del body["a"]
         bodies.append(body)
     found = any(body is not None and body["kind"] == WitnessKind.FR.value for body in bodies)
-    head = dump_json({"group": list(graph.group.orders), "fr_found": found})
-    head = append_int_rows(head, "set", graph.connection.elements)
+    head = dump_json(
+        {"group": list(graph.group.orders), "fr_found": found, "set": IntRows(graph.connection.elements)}
+    )
     # The involutions are the product of the coordinate choices less its
     # first element, zero.  "certificates" sorts before the other keys, and
     # "a" before the body's.  Every class is decided before the first chunk.
@@ -141,8 +141,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     built = build_from_spec(_load_json(args.family))
+    graph = built.graph
     document = {
-        "graph": graph_to_json(built.graph),
+        # graph_to_json(graph), with its set written a row at a time
+        "graph": {"group": list(graph.group.orders), "set": IntRows(graph.connection.elements)},
         "prediction": built.prediction_document(),
     }
     code = EXIT_OK
@@ -204,9 +206,10 @@ def _cmd_plateaued(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The `fr` parser, built once per process; each parse_args call
-    starts from a fresh namespace, so no option carries over between calls."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The `fr` parser and its subcommand parsers by name, built once per
+    process; each parse_args call starts from a fresh namespace, so no
+    option carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="fr",
         description="Decide, certify, and verify fractional revival on "
@@ -255,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("groupfn", help='JSON file {"group": [...], "values": [...]}')
     p.add_argument("--p", type=int, required=True, help="prime to test")
     p.add_argument("-o", "--output", default=None)
-    return parser
+    return parser, dict(sub.choices)
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
@@ -294,8 +297,23 @@ def _is_float(text: str) -> bool:
     return True
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """parser.parse_args(argv), with the command line parsed once: when
+    argv[0] names a subcommand, its parser reads the rest straight away,
+    as the top-level parser would hand it on.  Arguments that it leaves
+    are refused by the top-level parser, as parse_args refuses them."""
+    parser, commands = build_parser()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:  # -h, a missing command or an unknown one
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error("unrecognized arguments: %s" % " ".join(extras))
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(_join_tolerance(sys.argv[1:] if argv is None else argv))
+    args = _parse(_join_tolerance(sys.argv[1:] if argv is None else argv))
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:

@@ -21,8 +21,8 @@ from .cayley import CayleyGraph, _checked_graph, _closed_set, make_graph  # noqa
 from .cyclotomic import _factorize, ramanujan_row
 from .engine import FRWitness, decide_fr, valid_k
 from .errors import HypothesisViolationError, InvalidGroupError, SpecFormatError, ZeroInSetError
-from .groups import MAX_GROUP_ORDER, Element, make_group, units_mod
-from .ioutil import _json_int, _json_int_list, _json_int_rows, _json_object, _json_str
+from .groups import MAX_GROUP_ORDER, Element, FiniteAbelianGroup, make_group, units_mod
+from .ioutil import _exact_int_rows, _json_int, _json_int_list, _json_int_rows, _json_object, _json_str
 
 
 def is_prime(n: int) -> bool:
@@ -112,6 +112,27 @@ def _require_fr_modulus(n: int, what: str) -> None:
             f"{what} gives phase modulus N = {n}; a phase gap of 2 then forces "
             "beta = 0 or alpha = 0, so no fractional revival is possible"
         )
+
+
+_ROWS = {list, tuple}
+
+
+def _checked_rows(group: FiniteAbelianGroup, rows: object) -> Optional[set[Element]]:
+    """The rows as a set of elements of group, when the whole set passes
+    one check: a list or tuple of rows, each exactly a list or tuple of the
+    group's rank, every coordinate exactly an int, and every column in
+    [0, m) for its factor's order m.  None otherwise: the caller then reads
+    the rows one at a time with require_element, which alone raises, so
+    the first fault keeps its type, text and order."""
+    orders = group.orders
+    if (
+        type(rows) in _ROWS
+        and _exact_int_rows(rows, _ROWS)
+        and set(map(len, rows)) <= {len(orders)}
+        and all(0 <= min(col) and max(col) < m for col, m in zip(zip(*rows), orders))
+    ):
+        return set(map(tuple, rows))
+    return None
 
 
 def _lift(
@@ -207,12 +228,15 @@ def build_plateaued_family(
     if not h_orders:
         raise HypothesisViolationError("the factor group H must be nontrivial")
     H = make_group(h_orders)
-    cleaned: set[Element] = set()
-    for coords in s1:
-        g = H.require_element(tuple(coords))
-        if g == H.zero:
-            raise ZeroInSetError("S1 must not contain the zero element of H")
-        cleaned.add(g)
+    cleaned = _checked_rows(H, s1)
+    if cleaned is None or H.zero in cleaned:
+        # the first fault in row order: a malformed row or the zero element
+        cleaned = set()
+        for coords in s1:
+            g = H.require_element(tuple(coords))
+            if g == H.zero:
+                raise ZeroInSetError("S1 must not contain the zero element of H")
+            cleaned.add(g)
     if not cleaned:
         raise HypothesisViolationError("S1 must be nonempty")
     indicator = GroupFunction.indicator(H, cleaned)
@@ -276,8 +300,10 @@ def build_cublike_family(
     if n_bits < 1:
         raise ValueError(f"bit width must be at least 1, got {n_bits}")
     base = make_group([2] * n_bits)
-    set0 = {base.require_element(tuple(r)) for r in s0}
-    set1 = {base.require_element(tuple(r)) for r in s1}
+    set0, set1 = _checked_rows(base, s0), _checked_rows(base, s1)
+    if set0 is None or set1 is None:
+        set0 = {base.require_element(tuple(r)) for r in s0}
+        set1 = {base.require_element(tuple(r)) for r in s1}
     if base.zero in set0 or base.zero in set1:
         raise ZeroInSetError("the slice sets must not contain the zero vector")
     d0, d1 = len(set0), len(set1)

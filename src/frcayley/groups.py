@@ -239,10 +239,13 @@ class FiniteAbelianGroup:
         every prime p | n, their coordinates on those factors, mod p, have
         rank r_p.  Cost O(|gens| * r^2) per prime.
 
-        Rank does not depend on the order of the rows, so they are read in
-        a coprime-stride order (see _stride_order), not as given: a sorted
-        set that lists a hyperplane first, such as the lift {0} x S0 before
-        {1} x S1, then reaches full rank in a few rows, not past the half."""
+        A prime whose columns are one factor is decided by one scan of that
+        column, in the order given: rank 1 holds exactly when some row is
+        nonzero there mod p.  For the others, rank does not depend on the
+        order of the rows, so they are read in a coprime-stride order (see
+        _stride_order), not as given: a sorted set that lists a hyperplane
+        first, such as the lift {0} x S0 before {1} x S1, then reaches full
+        rank in a few rows, not past the half."""
         return self._rank_test(gens)[0]
 
     def rank_test_counts(self, gens: Iterable[Element]) -> tuple[int, int]:
@@ -256,9 +259,16 @@ class FiniteAbelianGroup:
         q = _coprime_stride(len(rows))
         read = reductions = 0
         for p, cols in self._frattini_columns:
-            vectors = _reduced_rows(_stride_order(rows, q), cols, p)
-            full, r, k = _rank_mod(vectors, len(cols), p)
-            read, reductions = read + r, reductions + k
+            if len(cols) == 1:
+                # any() draws the rows from `left` one at a time, so what it
+                # leaves there is the rows it did not read
+                left = iter(rows)
+                full = any(map(p.__rmod__, map(operator.itemgetter(*cols), left)))
+                read += len(rows) - operator.length_hint(left)
+            else:
+                vectors = _reduced_rows(_stride_order(rows, q), cols, p)
+                full, r, k = _rank_mod(vectors, len(cols), p)
+                read, reductions = read + r, reductions + k
             if not full:
                 return False, read, reductions
         return True, read, reductions

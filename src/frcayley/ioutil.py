@@ -6,6 +6,7 @@ and raises SpecFormatError naming the field otherwise."""
 
 from __future__ import annotations
 
+import itertools
 from json.encoder import encode_basestring
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -27,6 +28,13 @@ def dump_json(data) -> str:
 
 _INF = float("inf")
 _INTS = {int}
+_LISTS = {list}
+
+
+class IntRows(tuple):
+    """Tuples of exact ints, all of one length of at least 1, such as a
+    connection set's elements: dump_json writes them as the list of their
+    rows as lists, each row by one %-format (see _int_rows)."""
 
 
 def _float(value: float) -> str:
@@ -55,6 +63,8 @@ def _render(value, newline: str) -> str:
     scalar = _SCALAR.get(type(value))
     if scalar is not None:
         return scalar(value)
+    if type(value) is IntRows:
+        return _int_rows(value, newline)
     inner = newline + "  "
     if isinstance(value, (list, tuple)):
         if not value:
@@ -77,6 +87,20 @@ def _render(value, newline: str) -> str:
         if isinstance(value, cls):
             return _SCALAR[cls](value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _int_rows(rows: Sequence[tuple[int, ...]], newline: str) -> str:
+    """The canonical text of [list(r) for r in rows] for a list at the
+    indent that `newline` carries, its rows one indent deeper and their
+    coordinates two.  Each row is written by one %-format, whose %d renders
+    an int as int.__repr__ does, with no per-row type check."""
+    if not rows:
+        return "[]"
+    inner = newline + "  "
+    coord = inner + "  "
+    row = ("," + coord).join(["%d"] * len(rows[0]))
+    body = (inner + "]," + inner + "[" + coord).join(map(row.__mod__, rows))
+    return "[" + inner + "[" + coord + body + inner + "]" + newline + "]"
 
 
 # The records of involution_records sit two indents deep, their fields
@@ -188,22 +212,6 @@ def _record_blocks(opening, rest, record, choices, twos, closings, low, exact) -
     yield ("\n  ]" if listed else "[]") + rest
 
 
-def append_int_rows(text: str, key: str, rows: Sequence[tuple[int, ...]]) -> str:
-    """The canonical text of {**rest, key: [list(r) for r in rows]}, given
-    text = dump_json(rest) for a non-empty rest whose keys all sort before
-    key, and non-empty tuples of ints of one length (a connection set's
-    elements).  Each row is written by one %-format, whose %d renders an
-    int as int.__repr__ does, with no per-row type check."""
-    # the list sits one indent deep, its rows two, their coordinates three
-    if rows:
-        row = ",\n      ".join(["%d"] * len(rows[0]))
-        body = "\n    ],\n    [\n      ".join(map(row.__mod__, rows))
-        listed = "[\n    [\n      " + body + "\n    ]\n  ]"
-    else:
-        listed = "[]"
-    return "".join([text[:-3], ",\n  ", encode_basestring(key), ": ", listed, "\n}\n"])
-
-
 def _opening(key: str, newline: str) -> str:
     # An object's text up to its first value, for an object at the indent
     # `newline`; the text of the rest of it goes on from its own "{".
@@ -228,8 +236,22 @@ def _json_int_list(value: object, field: str) -> list[int]:
 
 
 def _json_int_rows(value: object, field: str) -> list[list[int]]:
-    """A list of integer lists, such as a connection set."""
-    return [_json_int_list(row, field) for row in _json_list(value, field)]
+    """A list of integer lists, such as a connection set.  The whole list
+    is checked at once (_exact_int_rows); only a list that fails is read a
+    row at a time, to find its first fault."""
+    rows = _json_list(value, field)
+    if _exact_int_rows(rows, _LISTS):
+        return rows
+    return [_json_int_list(row, field) for row in rows]
+
+
+def _exact_int_rows(rows: Sequence, row_types: set) -> bool:
+    """True iff the type of every row is one of row_types and every entry
+    of every row is exactly an int (no bool, float or int subclass): the
+    type part of a whole-set check, with no call per row."""
+    return set(map(type, rows)) <= row_types and set(
+        map(type, itertools.chain.from_iterable(rows))
+    ) <= _INTS
 
 
 def _json_str(value: object, field: str) -> str:

@@ -185,13 +185,17 @@ def verify_fr(
     fixed = image == ranks
     permutation_ok = np.array_equal(image[image], ranks) and not np.any(fixed)
     H = transfer_matrix(graph, witness.time)
-    # |H - (alpha*I + beta*Q)| entrywise without building the target: |H|
-    # off the support of I + Q, and on it the same sums the dense target
-    # holds (alpha*I[i, j] + beta*Q[i, j], with both 1 where image[i] = i).
-    alpha, beta, entries = witness.alpha, witness.beta, H.entries
-    dev = np.abs(entries)
-    dev[ranks, ranks] = np.abs(entries[ranks, ranks] - (alpha * 1.0 + beta * fixed))
-    dev[ranks, image] = np.abs(entries[ranks, image] - (alpha * fixed + beta * 1))
+    # |H - (alpha*I + beta*Q)| without building the target.  H is row[D]
+    # with D[i, j] = rank(g_i - g_j), and the target is alpha where
+    # g_j - g_i = 0 and beta where g_j - g_i = a, so every row of the
+    # difference holds the values of its row 0, float for float: |H[0]| off
+    # columns 0 and image[0], and on them the sums the dense target holds
+    # (alpha*I[0, j] + beta*Q[0, j], with both 1 where image[0] = 0).
+    alpha, beta, row = witness.alpha, witness.beta, H.entries[0]
+    at = image[:1]
+    dev = np.abs(row)
+    dev[:1] = np.abs(row[:1] - (alpha * 1.0 + beta * fixed[:1]))
+    dev[at] = np.abs(row[at] - (alpha * fixed[:1] + beta * 1))
     max_dev = float(np.max(dev))
     defect = H.unitarity_defect()
     passed = permutation_ok and max_dev <= tol and defect <= tol

@@ -13,12 +13,51 @@ from typing import Optional
 import numpy as np
 
 import frcayley as fr
-from frcayley import CayleyGraph, FiniteAbelianGroup, FRWitness, TransferMatrix, VerificationReport
+from frcayley import (
+    CayleyGraph,
+    FiniteAbelianGroup,
+    FRWitness,
+    GroupFunction,
+    RootOfUnitySum,
+    TransferMatrix,
+    VerificationReport,
+)
 from frcayley.cayley import _checked_graph, _closed_set
-from frcayley.errors import InvalidGroupError, SpecFormatError
+from frcayley.errors import HypothesisViolationError, InvalidGroupError, SpecFormatError, ZeroInSetError
+from frcayley.families import BuiltFamily
 from frcayley.groups import make_group
-from frcayley.ioutil import _json_int_list, _json_int_rows, _json_list, _json_object
+from frcayley.ioutil import _json_int, _json_int_list, _json_int_rows, _json_list, _json_object, _json_str
 from frcayley.oracle import _require_dense
+
+
+def cyclotomic_spectrum(graph: CayleyGraph) -> list[RootOfUnitySum]:
+    """Eigenvalues in element order, each a count vector reduced modulo the
+    cyclotomic polynomial: the reference for the transforms of `spectrum`."""
+    G = graph.group
+    e = G.exponent
+    out = []
+    for z in G.elements():
+        counts = [0] * e
+        for s in graph.connection:
+            counts[G.character_exponent(z, s)] += 1
+        out.append(RootOfUnitySum(e, tuple(counts)).reduced())
+    return out
+
+
+def group_fourier(f: GroupFunction) -> list[RootOfUnitySum]:
+    """Exact Fourier coefficients fhat(chi_z) = sum_x f(x) * conj(chi_z(x)),
+    listed in element order of z: the reference for `fourier_integers`."""
+    G = f.group
+    e = G.exponent
+    out = []
+    elements = list(G.elements())
+    for z in elements:
+        counts = [0] * e
+        for x, v in zip(elements, f.values):
+            if v:
+                counts[(-G.character_exponent(z, x)) % e] += v
+        out.append(RootOfUnitySum(e, tuple(counts)))
+    return out
 
 
 def character_table(group: FiniteAbelianGroup) -> np.ndarray:
@@ -178,3 +217,45 @@ def graph_from_json_by_rows(data: dict | str) -> CayleyGraph:
             f"coordinate row {bad} has {len(bad)} entries, expected {len(orders)}"
         )
     return _checked_graph(group, _closed_set(group, seen))
+
+
+def build_family_by_rows(data: dict) -> BuiltFamily:
+    """build_from_spec for a PLATEAUED_C or CUBLIKE_D document, with S0 and
+    S1 read one coordinate at a time (_json_int per entry) and each row
+    then checked by require_element, in the order of faults that
+    build_from_spec reports.  The checked rows go to the builder."""
+    variant = _json_str(_json_object(data, "family document", ("variant",))["variant"], "variant")
+
+    def int_rows(key: str) -> list[list[int]]:
+        return [_json_int_list(row, key) for row in _json_list(doc[key], key)]
+
+    def optional_int(key: str) -> Optional[int]:
+        return None if doc.get(key) is None else _json_int(doc[key], key)
+
+    if variant == "PLATEAUED_C":
+        doc = _json_object(data, "PLATEAUED_C document", ("H", "S1"))
+        h_orders, s1, p = _json_int_list(doc["H"], "H"), int_rows("S1"), optional_int("p")
+        if not h_orders:
+            raise HypothesisViolationError("the factor group H must be nontrivial")
+        H = make_group(h_orders)
+        rows = []
+        for coords in s1:
+            g = H.require_element(tuple(coords))
+            if g == H.zero:
+                raise ZeroInSetError("S1 must not contain the zero element of H")
+            rows.append(g)
+        return fr.build_plateaued_family(h_orders, rows, p)
+    if variant != "CUBLIKE_D":
+        raise ValueError(f"no per-row reader for {variant!r}")
+    doc = _json_object(data, "CUBLIKE_D document", ("S0", "S1"))
+    s0, s1, n_bits = int_rows("S0"), int_rows("S1"), optional_int("n")
+    if n_bits is None:
+        if not (s0 or s1):
+            raise SpecFormatError("cannot infer the bit width from two empty slice sets")
+        n_bits = len((s0 or s1)[0])
+    if n_bits < 1:
+        raise ValueError(f"bit width must be at least 1, got {n_bits}")
+    base = make_group([2] * n_bits)
+    rows0 = [base.require_element(tuple(r)) for r in s0]
+    rows1 = [base.require_element(tuple(r)) for r in s1]
+    return fr.build_cublike_family(rows0, rows1, n_bits)

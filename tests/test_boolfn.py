@@ -19,7 +19,6 @@ from frcayley import (
     NotClassFunctionError,
     classify_boolean,
     eigenvalues_from_walsh,
-    group_fourier,
     fourier_integers,
     hadamard_transform,
     is_class_function,
@@ -39,6 +38,7 @@ from helpers import (
     random_invertible_gf2,
     transform_boolean,
 )
+from reference import group_fourier
 
 
 def boolean_tables(max_n=4, min_n=1):

@@ -21,7 +21,6 @@ from frcayley import (
     DisconnectedGraphWarning,
     SpecFormatError,
     ZeroInSetError,
-    cyclotomic_spectrum,
     graph_from_json,
     graph_to_json,
     is_integral,
@@ -39,7 +38,7 @@ from helpers import (
     random_symmetric_set,
     random_unit_closed_set,
 )
-from reference import adjacency_matrix, graph_from_json_by_rows
+from reference import adjacency_matrix, cyclotomic_spectrum, graph_from_json_by_rows
 
 
 class TestValidateConnectionSet:
@@ -70,6 +69,18 @@ class TestValidateConnectionSet:
         g = make_group([9])
         with pytest.raises(AsymmetricSetError, match=r"\(1,\)"):
             validate_connection_set([(1,)], g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=7), st.data())
+    def test_exponent_two_sets_are_closed_as_given(self, r, data):
+        # every element of (Z2)^r is its own inverse: any set without zero
+        # is accepted, sorted and deduplicated; zero is still refused
+        g = make_group([2] * r)
+        element = st.tuples(*[st.integers(min_value=0, max_value=1)] * r)
+        rows = data.draw(st.lists(element.filter(any), max_size=20))
+        assert validate_connection_set(rows, g).elements == tuple(sorted(set(rows)))
+        with pytest.raises(ZeroInSetError):
+            validate_connection_set(rows + [g.zero], g)
 
     def test_membership_and_iteration(self):
         g = make_group([2, 3])
@@ -136,6 +147,17 @@ class TestSpectrum:
             spec = spectrum(graph)
             zero = graph.group.zero
             assert spec.values[zero].as_integer() == graph.degree, name
+
+    def test_one_spectrum_per_graph_and_read_only(self, corpus):
+        for name, graph in corpus:
+            spec = spectrum(graph)
+            assert spectrum(graph) is spec, name
+            # kept on the graph object, not shared with an equal one
+            assert spectrum(CayleyGraph(graph.group, graph.connection)) is not spec, name
+            if spec.by_rank is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    spec.by_rank[0] = 0
+                assert spec.by_rank[0] == graph.degree, name
 
     def test_empty_set_spectrum(self):
         g = quiet_graph([2, 3], [])

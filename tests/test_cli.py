@@ -24,8 +24,10 @@ from hypothesis import strategies as st
 
 import frcayley as fr
 from frcayley import decide_fr, graph_to_json, make_graph
+from frcayley import cli
 from frcayley.cli import build_parser, main
-from frcayley.ioutil import append_int_rows, dump_json, involution_records
+from frcayley.families import build_from_spec, engine_agrees
+from frcayley.ioutil import IntRows, dump_json, involution_records
 from conftest import BENT4_SUPPORT, PRISM_SET, UNITS_9, UNITS_SET
 from helpers import GRAPH_SPEC_FAULTS, random_unit_closed_set
 
@@ -318,6 +320,51 @@ class TestConstructCommand:
         )
 
 
+FAMILY_DOCUMENTS = st.one_of(
+    st.builds(
+        lambda p, r, h: {"variant": "RAMANUJAN_A", "p": p, "r": r, "H": h},
+        st.sampled_from([3, 5, 7]),
+        st.integers(min_value=1, max_value=2),
+        st.sampled_from([[], [3], [5], [2, 3]]),
+    ).filter(  # N = 1 without both; the oracle's order cap
+        lambda doc: (doc["r"] == 2 or doc["H"]) and 2 * doc["p"] ** doc["r"] * math.prod(doc["H"]) <= 256
+    ),
+    st.sampled_from(
+        [
+            {"variant": "MULTI_PRIME_B", "prime_powers": [[2, 2], [3, 2]]},
+            {"variant": "MULTI_PRIME_B", "prime_powers": [[2, 3], [5, 2]]},
+            {"variant": "PLATEAUED_C", "H": [9], "S1": [[u] for u in UNITS_9]},
+            {"variant": "PLATEAUED_C", "H": [27], "S1": [[u] for u in fr.units_mod(27)]},
+            {"variant": "CUBLIKE_D", "S0": [[1, 1, 0, 0], [1, 1, 0, 1], [1, 1, 1, 0], [1, 1, 1, 1]],
+             "S1": [[1, 1, 0, 0], [1, 1, 0, 1], [1, 1, 1, 0], [1, 1, 1, 1]]},
+            {"variant": "BENT_E", "f": "7888"},
+            {"variant": "BENT_E", "f": fr.mm_bent(6).to_hex()},
+        ]
+    ),
+)
+
+
+class TestConstructDocumentBytes:
+    @given(FAMILY_DOCUMENTS, st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_is_dump_json_of_the_graph_to_json_document(self, doc, verify):
+        # the graph's set is written a row at a time; the bytes are those
+        # of the document with graph_to_json's lists
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", fr.DisconnectedGraphWarning)
+            built = build_from_spec(doc)
+            expected = {"graph": graph_to_json(built.graph), "prediction": built.prediction_document()}
+            if verify:
+                expected["verification"] = fr.verify_fr(built.graph, built.prediction).to_json()
+                expected["engine_agrees"] = engine_agrees(built)
+            with tempfile.TemporaryDirectory() as tmp:
+                family = write_json(Path(tmp), "family.json", doc)
+                out = Path(tmp) / "out.json"
+                code = main(["construct", family, "-o", str(out), *(["--verify"] if verify else [])])
+                assert out.read_text(encoding="utf-8") == dump_json(expected)
+        assert code == (0 if not verify or (expected["verification"]["pass"] and expected["engine_agrees"]) else 1)
+
+
 class TestVerifyCommand:
     def _write_pair(self, tmp_path, graph, witness):
         spec = write_json(tmp_path, "g.json", graph_to_json(graph))
@@ -566,6 +613,10 @@ class TestParserReuse:
 
     def test_built_once(self):
         assert build_parser() is build_parser()
+        parser, commands = build_parser()
+        assert sorted(commands) == [
+            "boolfn", "check", "construct", "plateaued", "search", "spectrum", "verify"
+        ]
 
     def test_options_do_not_carry_over(self, capsys, tmp_path, units_spec):
         family = write_json(tmp_path, "famE.json", {"variant": "BENT_E", "f": "7888"})
@@ -588,6 +639,71 @@ class TestParserReuse:
         assert code == 0 and json.loads(out)["tolerance"] == 0.5
         code, out, _ = run(capsys, ["verify", graph, cert])
         assert code == 0 and json.loads(out)["tolerance"] == 1e-9
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), a usage error included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestParsedOnce:
+    """A command line that names a subcommand is parsed by that
+    subcommand's parser alone; every other one by the top-level parser.
+    Both give what the top-level parser alone gives."""
+
+    @pytest.fixture()
+    def cases(self, tmp_path, units_spec):
+        family = write_json(tmp_path, "famE.json", {"variant": "BENT_E", "f": "7888"})
+        return {
+            "unrecognized": ["search", units_spec, "--bogus"],
+            "two unrecognized": ["search", units_spec, "--bogus", "x"],
+            "no arguments": [],
+            "unknown command": ["bogus", "x"],
+            "subcommand help": ["search", "-h"],
+            "top-level help": ["-h"],
+            "missing positional": ["search"],
+            "missing option": ["check", units_spec],
+            "negative tolerance": ["construct", family, "--verify", "--tol", "-inf"],
+            "run": ["search", units_spec],
+        }
+
+    def test_both_routes_give_the_same_bytes(self, capsys, monkeypatch, cases):
+        once = {name: outcome(capsys, argv) for name, argv in cases.items()}
+        parser = build_parser()[0]
+        monkeypatch.setattr(cli, "_parse", parser.parse_args)
+        assert {name: outcome(capsys, argv) for name, argv in cases.items()} == once
+
+    def test_pinned_outcomes(self, capsys, cases, units_spec):
+        usage = "usage: fr [-h] {spectrum,search,check,construct,verify,boolfn,plateaued} ...\n"
+        assert outcome(capsys, cases["unrecognized"]) == (
+            2, "", usage + "fr: error: unrecognized arguments: --bogus\n"
+        )
+        assert outcome(capsys, cases["two unrecognized"])[2].endswith(
+            "fr: error: unrecognized arguments: --bogus x\n"
+        )
+        assert outcome(capsys, cases["no arguments"]) == (
+            2, "", usage + "fr: error: the following arguments are required: command\n"
+        )
+        code, out, err = outcome(capsys, cases["unknown command"])
+        assert (code, out) == (2, "") and err.startswith(usage)
+        assert "fr: error: argument command: invalid choice: 'bogus'" in err
+        code, out, err = outcome(capsys, cases["subcommand help"])
+        assert (code, err) == (0, "") and out.startswith("usage: fr search [-h]")
+        assert outcome(capsys, cases["missing positional"]) == (
+            2,
+            "",
+            "usage: fr search [-h] [-o OUTPUT] spec\n"
+            "fr search: error: the following arguments are required: spec\n",
+        )
+        assert outcome(capsys, cases["negative tolerance"]) == (
+            3, "", "error: tolerance must be positive and finite, got -inf\n"
+        )
+        assert outcome(capsys, cases["run"])[0] == 0
 
 
 class TestDeterminism:
@@ -696,11 +812,34 @@ class TestDeterminism:
     )
     @settings(max_examples=200)
     def test_appended_int_rows_are_the_indented_sorted_json_text(self, rest, rows):
-        # one-factor rows, the edgeless set and coordinates >= 10^6 included
-        text = json.dumps(rest, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        # IntRows as the last key: one-factor rows, the edgeless set and
+        # coordinates >= 10^6 included
         doc = {**rest, "set": [list(r) for r in rows]}
         expected = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-        assert append_int_rows(text, "set", rows) == expected
+        assert dump_json({**rest, "set": IntRows(rows)}) == expected
+
+    @given(
+        st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9]), min_size=1, max_size=3).filter(
+            lambda orders: math.prod(orders) <= 200
+        ),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.dictionaries(st.text(max_size=3), JSON_DOCUMENTS, max_size=3),
+        st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_int_rows_are_the_graph_set_at_any_depth(self, orders, seed, rest, depth):
+        # a unit-closed set as IntRows, nested `depth` lists deep, renders
+        # as graph_to_json's list of lists does
+        group = fr.make_group(orders)
+        graph = fr.CayleyGraph(
+            group, fr.validate_connection_set(random_unit_closed_set(group, random.Random(seed)), group)
+        )
+        rows = {"group": list(orders), "set": IntRows(graph.connection.elements)}
+        listed = graph_to_json(graph)
+        for _ in range(depth):
+            rows, listed = [rows], [listed]
+        expected = json.dumps({**rest, "graph": listed}, indent=2, sort_keys=True, ensure_ascii=False)
+        assert dump_json({**rest, "graph": rows}) == expected + "\n"
 
     @pytest.mark.parametrize(
         "command, doc",

@@ -36,8 +36,9 @@ from frcayley import (
     verify_fr,
 )
 from frcayley.boolfn import ramanujan_transform
-from frcayley.cayley import Spectrum, cyclotomic_spectrum
+from frcayley.cayley import Spectrum
 from helpers import graph_from_set, quiet_graph, random_symmetric_set, random_unit_closed_set
+from reference import cyclotomic_spectrum
 
 
 class TestSplitByInvolution:

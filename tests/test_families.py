@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 import warnings
 
 import pytest
@@ -34,6 +35,8 @@ from frcayley import (
     verify_fr,
 )
 from conftest import BENT4_SET, UNITS_9
+from helpers import random_unit_closed_set
+from reference import build_family_by_rows, group_fourier
 
 
 class TestIsPrime:
@@ -288,7 +291,7 @@ class TestPlateauedFamily:
         orbits = sorted(sorted(o) for o in orbits)
         s1 = sorted(x for i, o in enumerate(orbits) if mask >> i & 1 for x in o)
         assume(s1)
-        lam = [c.as_integer() for c in fr.group_fourier(fr.GroupFunction.indicator(H, s1))]
+        lam = [c.as_integer() for c in group_fourier(fr.GroupFunction.indicator(H, s1))]
         d1 = len(s1)
         assert lam[0] == d1
         spread = 0
@@ -456,3 +459,113 @@ class TestBuildFromSpec:
     def test_rejects_missing_variant(self):
         with pytest.raises(SpecFormatError):
             build_from_spec({"p": 3, "r": 2})
+
+
+CO_PLANE = [[1, 1, 0, 0], [1, 1, 0, 1], [1, 1, 1, 0], [1, 1, 1, 1]]
+
+# One fault put into one row: a coordinate replaced by true, 2, -1 or a
+# float, a row cut short, or a row that is no list
+ROW_FAULTS = {
+    "true": lambda row: [True, *row[1:]],
+    "two": lambda row: [*row[:-1], 2],
+    "minus one": lambda row: [-1, *row[1:]],
+    "float": lambda row: [*row[:-1], float(row[-1])],
+    "short": lambda row: row[:-1],
+    "not a list": lambda row: {"row": row},
+}
+
+
+def read_outcome(doc):
+    """The family build_from_spec returns for doc, as its graph and
+    prediction, or the type and text of what it raises; and the same of
+    the per-row reader."""
+    out = []
+    for build in (build_from_spec, build_family_by_rows):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DisconnectedGraphWarning)
+            try:
+                built = build(doc)
+            except Exception as exc:  # compared by type and text
+                out.append((type(exc), str(exc)))
+            else:
+                out.append((built.graph, built.prediction_document()))
+    return out
+
+
+@st.composite
+def family_documents(draw):
+    """A PLATEAUED_C or CUBLIKE_D document, with random slices or ones that
+    build, and maybe one fault in one row of one slice."""
+    if draw(st.booleans()):
+        h_orders = draw(st.sampled_from([[9], [27], [3, 3], [5], [2, 4]]))
+        group = fr.make_group(h_orders)
+        if draw(st.booleans()):
+            rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+            rows = sorted(random_unit_closed_set(group, rng))
+        else:
+            rows = draw(st.lists(st.sampled_from(list(group.elements())), max_size=8))
+        doc = {"variant": "PLATEAUED_C", "H": h_orders, "S1": [list(r) for r in rows]}
+        if draw(st.booleans()):
+            doc["p"] = draw(st.sampled_from([2, 3, 5]))
+    else:
+        if draw(st.booleans()):
+            s0 = s1 = CO_PLANE
+        else:
+            width = draw(st.integers(min_value=1, max_value=4))
+            bits = st.lists(st.integers(min_value=0, max_value=1), min_size=width, max_size=width)
+            s0, s1 = draw(st.lists(bits, max_size=8)), draw(st.lists(bits, max_size=8))
+        doc = {"variant": "CUBLIKE_D", "S0": [list(r) for r in s0], "S1": [list(r) for r in s1]}
+        if draw(st.booleans()):
+            doc["n"] = draw(st.integers(min_value=1, max_value=5))
+    key = draw(st.sampled_from([k for k in ("S0", "S1") if k in doc]))
+    rows = doc[key]
+    if rows and draw(st.booleans()):
+        i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        fault = ROW_FAULTS[draw(st.sampled_from(sorted(ROW_FAULTS)))]
+        doc[key] = [*rows[:i], fault(rows[i]), *rows[i + 1:]]
+    return doc
+
+
+class TestFamilyReadersAgreeWithPerRowReaders:
+    """build_from_spec checks each slice set of C and D once, as a whole,
+    and walks it a row at a time only when that check fails."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(family_documents())
+    def test_same_family_or_same_fault(self, doc):
+        fast, slow = read_outcome(doc)
+        assert fast == slow
+
+    @pytest.mark.parametrize("fault", sorted(ROW_FAULTS))
+    def test_each_fault_in_the_co_plane(self, fault):
+        for key in ("S0", "S1"):
+            doc = {"variant": "CUBLIKE_D", "S0": CO_PLANE, "S1": CO_PLANE}
+            doc[key] = [*CO_PLANE[:2], ROW_FAULTS[fault](CO_PLANE[2]), CO_PLANE[3]]
+            fast, slow = read_outcome(doc)
+            assert fast == slow and isinstance(fast[0], type)
+
+    def test_a_valid_document_builds(self):
+        fast, slow = read_outcome({"variant": "CUBLIKE_D", "S0": CO_PLANE, "S1": CO_PLANE})
+        assert fast == slow and isinstance(fast[0], fr.CayleyGraph)
+
+    @pytest.mark.filterwarnings("ignore::frcayley.DisconnectedGraphWarning")
+    def test_builders_take_tuples_and_check_them_once(self):
+        rows = [tuple(r) for r in CO_PLANE]
+        assert build_cublike_family(rows, rows).graph == build_cublike_family(CO_PLANE, CO_PLANE).graph
+        with pytest.raises(ValueError, match="not a residue mod 2"):
+            build_cublike_family(rows, [*rows[:3], (1, 1, 1, 2)])
+        with pytest.raises(ValueError, match="not a residue mod 2"):
+            build_cublike_family(rows, [*rows[:3], (1, 1, 1, True)])
+        with pytest.raises(ZeroInSetError):
+            build_plateaued_family([9], [(u,) for u in UNITS_9] + [(0,)])
+
+    @pytest.mark.filterwarnings("ignore::frcayley.DisconnectedGraphWarning")
+    def test_one_spectrum_on_the_construct_path(self, monkeypatch):
+        # the builder's decide_fr and engine_agrees read one spectrum: one
+        # Walsh transform
+        calls = []
+        walsh = fr.cayley.hadamard_transform
+        monkeypatch.setattr(fr.cayley, "hadamard_transform", lambda v: calls.append(1) or walsh(v))
+        built = build_from_spec({"variant": "CUBLIKE_D", "S0": CO_PLANE, "S1": CO_PLANE})
+        assert engine_agrees(built)
+        assert len(calls) == 1

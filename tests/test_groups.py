@@ -385,6 +385,46 @@ class TestIsGeneratedBy:
         assert g.is_generated_by(rows) and len(g.subgroup_generated(rows)) == g.n
         assert not g.is_generated_by(rows[:-1])
 
+    def test_one_factor_prime_is_one_column_scan(self):
+        # Family A on Z2 x Z49 x Z5, |S| = 211: each prime's columns are one
+        # factor, so each is decided by scanning that column in the order
+        # given, to its first row nonzero mod p, with no reduction.  The
+        # Z2 column is nonzero only at (1, 0, 0), the last row (211 read);
+        # the Z49 column mod 7 at the first row (1); the Z5 column at the
+        # second, (0, 1, 1) (2).
+        graph = fr.build_ramanujan_family(7, 2, [5]).graph
+        rows = graph.connection.elements
+        assert len(rows) == 211 and rows[-1] == (1, 0, 0)
+        assert graph.group.rank_test_counts(rows) == (214, 0)
+        assert graph.connected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.sampled_from([2, 3, 4, 5, 8, 9, 25]), min_size=1, max_size=3).filter(
+            lambda o: math.prod(o) <= 400
+        ),
+        st.data(),
+    )
+    def test_column_scans_read_to_the_first_nonzero_row(self, orders, data):
+        # Up to the first prime with two columns or more, the counts are
+        # those of _rank_mod on each column in the order given; the answer
+        # is that of the breadth-first closure
+        g = make_group(orders)
+        element = st.tuples(*(st.integers(min_value=0, max_value=m - 1) for m in orders))
+        rows = data.draw(st.lists(element, max_size=12))
+        expected_read = 0
+        for p, cols in g._frattini_columns:
+            full, read, reductions = _rank_mod(_reduced_rows(rows, cols, p), len(cols), p)
+            if len(cols) > 1:
+                break
+            assert reductions == 0
+            expected_read += read
+            if not full:
+                break
+        else:
+            assert g.rank_test_counts(rows) == (expected_read, 0)
+        assert g.is_generated_by(rows) == (len(g.subgroup_generated(rows)) == g.n)
+
     def test_stride_order_is_a_permutation(self):
         for n in range(40):
             rows = [(i,) for i in range(n)]

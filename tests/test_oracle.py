@@ -97,8 +97,9 @@ def random_witness(draw, a):
 @st.composite
 def oracle_cases(draw):
     """A random unit-closed graph of order at most 256, and a witness that is
-    genuine, tampered in (k, rho0), or aimed at a = 0.  A graph where the
-    drawn element has no certificate gets a witness at a random time."""
+    genuine, tampered in (k, rho0), or aimed at a = 0 or at an element of
+    order above 2 (one of order 2 when the group has none).  A graph where
+    the drawn element has no certificate gets a witness at a random time."""
     group = make_group(draw(dense_orders()))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     graph = graph_from_set(group, random_unit_closed_set(group, rng))
@@ -106,7 +107,7 @@ def oracle_cases(draw):
     witness = decide_fr(graph, a) if any(a) else None
     if witness is None:
         witness = draw(random_witness(a))
-    kind = draw(st.sampled_from(["genuine", "tampered", "zero"]))
+    kind = draw(st.sampled_from(["genuine", "tampered", "zero", "non-involution"]))
     if kind == "tampered":
         witness = dataclasses.replace(
             witness,
@@ -115,6 +116,9 @@ def oracle_cases(draw):
         )
     elif kind == "zero":
         witness = dataclasses.replace(witness, a=group.zero)
+    elif kind == "non-involution":
+        others = [g for g in group.elements() if group.element_order(g) > 2]
+        witness = dataclasses.replace(witness, a=draw(st.sampled_from(others or [a])))
     return graph, witness
 
 
@@ -357,9 +361,9 @@ class TestVerifyFr:
 
     def test_peak_memory_is_a_few_matrices(self):
         # Two n x n arrays at a time: the exponent table and conj(X) (freed
-        # once row 0 of H(t) is built), then D and H(t), then H(t) and
-        # |H - target|; no second complex table, Gram matrix, translation
-        # matrix or dense target.  The peak is 1.52 MiB here.
+        # once row 0 of H(t) is built), then D and H(t); no second complex
+        # table, Gram matrix, translation matrix, dense target or n x n
+        # deviation.  The peak is 1.52 MiB here.
         supp = support(mm_bent(6))
         lifted = sorted([(0, *s) for s in supp] + [(1, *s) for s in supp])
         built = build_cublike_family(lifted, lifted)

@@ -130,5 +130,9 @@ def test_oracle_probe_verifies_at_the_dense_cap(probe):
     assert report["construct_pass"] is True and report["verify_pass"] is True
     assert 0 <= report["construct_verify_cpu_s"] < 1.0
     assert 0 <= report["verify_cpu_s"] < 1.0
-    # a few 256 x 256 arrays at a time: the tables, then H(t) and |H - target|
+    # two layers of the construct path, timed apart
+    assert 0 < report["build_from_spec_cpu_s"] < 1.0
+    assert 0 <= report["engine_agrees_cpu_s"] < 1.0
+    assert report["engine_agrees"] is True
+    # a few 256 x 256 arrays at a time: the tables, then D and H(t)
     assert 0 < report["verify_fr_tracemalloc_peak_mib"] < 4
