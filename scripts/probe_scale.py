@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the scale probes beyond the benchmark ladder and print them as JSON.
 
-Seven probes, each one run in this process (the cube probe also starts
+Eight probes, each one run in this process (the cube probe also starts
 fresh ones), timed in CPU seconds:
 
 - parse: graph_from_json on the loaded JSON of Z2 x Z4 x Z12500 (n = 10^5)
@@ -40,7 +40,13 @@ fresh ones), timed in CPU seconds:
   (the least CPU time is reported); the least CPU time of five
   build_from_spec calls on that spec, and of five engine_agrees calls on
   the family it returns; then the tracemalloc peak of one verify_fr on the
-  same graph and prediction.
+  same graph and prediction;
+- class function: is_class_function, then fourier_integers, on the
+  indicators of three unit-closed sets, each timed as the least CPU time
+  of five calls on a fresh GroupFunction: {(a, b, u) : u a unit mod 12500}
+  in Z2 x Z4 x Z12500 (n = 10^5, |S| = 40000), the 4032 elements of order
+  4 in (Z4)^6 and the 2048 units of Z_4096; then the least CPU time of
+  five family-C builds on H = Z_4096 with S1 those units.
 
 Run as a script, it sets each BLAS thread count the environment leaves
 unset to one before numpy loads.
@@ -347,6 +353,32 @@ def probe_oracle() -> dict:
     }
 
 
+def class_function_cpu(group: fr.FiniteAbelianGroup, rows: list[tuple[int, ...]]) -> dict:
+    """The least CPU seconds of five calls of is_class_function, then
+    fourier_integers, on the indicator of rows, each on a fresh
+    GroupFunction, so that none reads the orbits found by the last."""
+    values = fr.GroupFunction.indicator(group, rows).values
+
+    def walk_and_transform() -> bool:
+        f = fr.GroupFunction(group, values)
+        return fr.is_class_function(f) and fr.fourier_integers(f) is not None
+
+    results, cpu = _least_of_5(walk_and_transform)
+    return {"n": group.n, "degree": len(rows), "class_function": all(results), "cpu_s": cpu}
+
+
+def probe_class_function() -> dict:
+    cube = fr.make_group([4] * 6)
+    units = [(u,) for u in fr.units_mod(4096)]
+    built, family_cpu = _least_of_5(fr.build_plateaued_family, [4096], units)
+    return {
+        "z2_z4_z12500": class_function_cpu(fr.make_group([2, 4, 12500]), unit_closed_rows(12500)),
+        "z4_6": class_function_cpu(cube, [g for g in cube.elements() if any(c % 2 for c in g)]),
+        "z4096": class_function_cpu(fr.make_group([4096]), units),
+        "family_c_z4096": {"label": built[-1].label, "cpu_s": family_cpu},
+    }
+
+
 def main() -> int:
     report = {
         "parse": probe_parse(),
@@ -358,6 +390,7 @@ def main() -> int:
         "cube_18": probe_cube(18),
         "spectrum": probe_spectrum(),
         "oracle": probe_oracle(),
+        "class_function": probe_class_function(),
     }
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0

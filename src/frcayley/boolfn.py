@@ -8,6 +8,7 @@ prime-power plateaued structure).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -115,13 +116,6 @@ class BooleanFunction:
         value = int(bytes(reversed(self.table)).translate(_BIT_DIGITS), 2)
         width = max(1, (1 << self.n) // 4)
         return f"{value:0{width}x}"
-
-    @classmethod
-    def from_support(cls, n: int, support: Iterable[Sequence[int]]) -> "BooleanFunction":
-        table = [0] * (1 << n)
-        for coords in support:
-            table[_bits_to_index(coords, n)] = 1
-        return cls(n, tuple(table))
 
     @cached_property
     def group(self) -> FiniteAbelianGroup:
@@ -254,28 +248,29 @@ class GroupFunction:
     def __call__(self, g: Element) -> int:
         return self.values[self.group.rank(g)]
 
-    @cached_property
+    @property
     def unit_orbits(self) -> Optional[tuple[tuple[Element, int, int], ...]]:
         """One (x, ord(x), f(x)) per unit orbit {k x : k a unit mod ord(x)}
         on which f is nonzero, x the orbit's first element in rank order;
-        None as soon as f takes two values on one orbit.  One walk over the
-        group, each element visited once."""
+        None when f takes two values on one orbit."""
+        return self._orbit_walk[0]
+
+    @cached_property
+    def _orbit_walk(self) -> tuple[Optional[tuple], Optional[tuple[Element, int]]]:
+        # (unit_orbits, None), or (None, (s, k)) with f(k s) != f(s): f is
+        # constant on unit orbits exactly when each nonzero level set is a
+        # union of them, walked in the order of their first elements.
         G = self.group
-        values = self.values
-        seen = bytearray(G.n)
+        levels: dict[int, list[Element]] = {}
+        for x, v in zip(itertools.compress(G.elements(), self.values), filter(None, self.values)):
+            levels.setdefault(v, []).append(x)
         out = []
-        for i, x in enumerate(G.elements()):
-            if seen[i]:
-                continue
-            v = values[i]
-            for _, y in G.unit_multiples(x):
-                j = G.rank(y)
-                if values[j] != v:
-                    return None
-                seen[j] = 1
-            if v:
-                out.append((x, G.element_order(x), v))
-        return tuple(out)
+        for v, level in levels.items():
+            orbits, miss = G.unit_orbits(level)
+            if orbits is None:
+                return None, miss
+            out += [(s, d, v) for s, d in orbits]
+        return tuple(sorted(out)), None
 
 
 def fourier_integers(f: GroupFunction) -> Optional[list[int]]:
@@ -316,8 +311,11 @@ def plateaued_level(f: GroupFunction, p: int) -> Optional[tuple[int, int]]:
     if p < 2:
         raise ValueError(f"p must be a prime, got {p}")
     if not is_class_function(f):
+        s, k = f._orbit_walk[1]
+        t = f.group.scale(k, s)
         raise NotClassFunctionError(
-            "the function is not constant on unit-multiplication orbits"
+            f"the function is not constant on unit-multiplication orbits: "
+            f"it is {f(s)} at {s} but {f(t)} at {t} = {k} * {s}"
         )
     ints = fourier_integers(f)
     if ints is None:

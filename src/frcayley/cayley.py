@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import warnings
 from collections import Counter
 from collections.abc import Mapping
@@ -17,15 +16,9 @@ import numpy as np
 
 from .boolfn import hadamard_transform, ramanujan_transform
 from .cyclotomic import RootOfUnitySum, approx_terms
-from .errors import (
-    AsymmetricSetError,
-    DisconnectedGraphWarning,
-    InvalidGroupError,
-    SpecFormatError,
-    ZeroInSetError,
-)
-from .groups import Element, FiniteAbelianGroup, make_group, units_mod
-from .ioutil import _LISTS, _exact_int_rows, _json_int_list, _json_int_rows, _json_list, _json_object
+from .errors import AsymmetricSetError, DisconnectedGraphWarning, SpecFormatError, ZeroInSetError
+from .groups import Element, FiniteAbelianGroup, make_group
+from .ioutil import _json_int_list, _json_int_rows, _json_object
 
 
 @dataclass(frozen=True)
@@ -103,47 +96,11 @@ class CayleyGraph:
     @cached_property
     def unit_orbits(self) -> Optional[tuple[tuple[Element, int], ...]]:
         """The connection set as a union of unit orbits {k s : k in U(d)},
-        d = ord(s): one (s, d) per orbit, s its smallest element; None as
-        soon as some k s is missing from the set.
-
-        By Bridges-Mena (1982) the graph is integral exactly when this is
-        not None; each orbit then adds the Ramanujan sum c_d to the
-        spectrum.
-
-        When d is 1, 2, 3, 4 or 6, phi(d) <= 2 and the units of Z_d are +-1,
-        so the orbit is {s, -s}, already in the set by
-        validate_connection_set: it is recorded without a walk.  The units
-        of each other d are listed once per call."""
-        G = self.group
-        if G.exponent == 2:
-            # U(2) = {1}: every element of the set is an orbit of order 2
-            return tuple(zip(self.connection.elements, itertools.repeat(2)))
-        members = set(self.connection.elements)
-        seen: set[Element] = set()
-        units_of: dict[int, list[int]] = {}
-        reps = []
-        for s in self.connection:
-            if s in seen:
-                continue
-            d = G.element_order(s)
-            if d in (1, 2, 3, 4, 6):
-                if d > 2:
-                    seen.add(G.neg(s))
-            else:
-                units = units_of.get(d)
-                if units is None:
-                    # A set that is no union of orbits is most often refused
-                    # here, on one multiple, before the units are listed.
-                    k = next(k for k in range(2, d) if math.gcd(k, d) == 1)
-                    if G.scale(k, s) not in members:
-                        return None
-                    units = units_of[d] = units_mod(d)
-                orbit = set(G.scale_all(units, s))
-                if not orbit <= members:
-                    return None
-                seen |= orbit
-            reps.append((s, d))
-        return tuple(reps)
+        d = ord(s): one (s, d) per orbit, s its smallest element; None when
+        some k s is missing (FiniteAbelianGroup.unit_orbits).  By
+        Bridges-Mena (1982) the graph is integral exactly when this is not
+        None; each orbit then adds the Ramanujan sum c_d to the spectrum."""
+        return self.group.unit_orbits(self.connection.elements)[0]
 
     @cached_property
     def _spectrum(self) -> "Spectrum":
@@ -288,12 +245,12 @@ def graph_to_json(graph: CayleyGraph) -> dict:
 def graph_from_json(data: dict | str) -> CayleyGraph:
     """Parse the wire form; coordinates are reduced into canonical range.
 
-    The whole set is checked at once: every row exactly a list, of the
-    group's rank, of exact ints.  It is then reduced a column at a time
-    into the set.  Only a set that fails that check is walked a row at a
-    time, to find its first fault.  A document with several faults is
-    refused for the first of: a wrong-typed row, the group, a short or long
-    row (the first), the zero element, an asymmetric element."""
+    The set is read as a list of integer lists (_json_int_rows), then
+    checked for the group's rank by one pass over the row lengths and
+    reduced a column at a time into the set.  A document with several
+    faults is refused for the first of: a wrong-typed row, the group, a
+    short or long row (the first), the zero element, an asymmetric
+    element."""
     if isinstance(data, str):
         try:
             data = json.loads(data)
@@ -303,30 +260,11 @@ def graph_from_json(data: dict | str) -> CayleyGraph:
             raise SpecFormatError(f"invalid JSON: {exc}") from exc
     doc = _json_object(data, "graph document", ("group", "set"))
     orders = _json_int_list(doc["group"], "group")
-    rows = _json_list(doc["set"], "set")
-    try:
-        group = make_group(orders)
-    except InvalidGroupError:
-        _json_int_rows(rows, "set")  # a wrong-typed row is reported first
-        raise
-    orders = group.orders
-    if _exact_int_rows(rows, _LISTS) and set(map(len, rows)) <= {len(orders)}:
-        columns = [map(int.__mod__, col, itertools.repeat(m)) for col, m in zip(zip(*rows), orders)]
-        return _checked_graph(group, _closed_set(group, set(zip(*columns))))
-    ints = (int,) * len(orders)
-    seen: set[Element] = set()
-    add = seen.add
-    bad = None
-    for row in rows:
-        if type(row) is not list or tuple(map(type, row)) != ints:
-            row = _json_int_list(row, "set")  # raises unless a list of ints
-            if len(row) != len(orders):
-                if bad is None:
-                    bad = row
-                continue
-        add(tuple(map(int.__mod__, row, orders)))
-    if bad is not None:
-        raise SpecFormatError(
-            f"coordinate row {bad} has {len(bad)} entries, expected {len(orders)}"
-        )
-    return _checked_graph(group, _closed_set(group, seen))
+    rows = _json_int_rows(doc["set"], "set")
+    group = make_group(orders)
+    r = len(group.orders)
+    if not set(map(len, rows)) <= {r}:
+        bad = next(itertools.compress(rows, map(r.__ne__, map(len, rows))))  # the first
+        raise SpecFormatError(f"coordinate row {bad} has {len(bad)} entries, expected {r}")
+    columns = [map(int.__mod__, col, itertools.repeat(m)) for col, m in zip(zip(*rows), group.orders)]
+    return _checked_graph(group, _closed_set(group, set(zip(*columns))))

@@ -186,10 +186,6 @@ class RootOfUnitySum:
         counts[0] = value
         return cls(modulus, tuple(counts))
 
-    @classmethod
-    def from_counts(cls, modulus: int, counts: Sequence[int]) -> "RootOfUnitySum":
-        return cls(modulus, tuple(counts))
-
     # -- ring operations -------------------------------------------------
 
     def _match(self, other: "RootOfUnitySum") -> None:
@@ -206,9 +202,6 @@ class RootOfUnitySum:
 
     def __neg__(self) -> "RootOfUnitySum":
         return RootOfUnitySum(self.modulus, tuple(-a for a in self.counts))
-
-    def scaled(self, c: int) -> "RootOfUnitySum":
-        return RootOfUnitySum(self.modulus, tuple(c * a for a in self.counts))
 
     # -- canonicalization -------------------------------------------------
 

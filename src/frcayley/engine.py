@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .cayley import CayleyGraph, Spectrum, spectrum
+from .cayley import CayleyGraph, Spectrum, is_integral, spectrum
 from .cyclotomic import _factorize
 from .errors import (
     NonIntegralSpectrumError,
@@ -418,7 +418,7 @@ def decide_fr(graph: CayleyGraph, a: Element) -> Optional[FRWitness]:
     from the fold (_mask_moduli)."""
     G = graph.group
     a = G.require_element(a)
-    if G.n % 2 == 1 or G.element_order(a) != 2 or graph.unit_orbits is None:
+    if G.n % 2 == 1 or G.element_order(a) != 2 or not is_integral(graph):
         return None
     spec = spectrum(graph)
     t, D, F = _fold(spec)
@@ -475,7 +475,7 @@ def search_classes(graph: CayleyGraph) -> WitnessClasses:
     odd group order and for non-integral spectra, decided before any
     spectrum work, every involution is in one class with no witness."""
     G = graph.group
-    if G.n % 2 == 1 or graph.unit_orbits is None:
+    if G.n % 2 == 1 or not is_integral(graph):
         return WitnessClasses([None], [0] * [m % 2 for m in G.orders].count(0), {})
     spec = spectrum(graph)
     pairs, low, exact = _mask_classes(G.n, *_fold(spec))

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 from .boolfn import BooleanClass, BooleanFunction, GroupFunction, classify_boolean, plateaued_level, support
 # make_graph is not called here; bench/tracer.py wraps it under this name.
 from .cayley import CayleyGraph, _checked_graph, _closed_set, make_graph  # noqa: F401
-from .cyclotomic import _factorize, ramanujan_row
+from .cyclotomic import _factorize
 from .engine import FRWitness, decide_fr, valid_k
 from .errors import HypothesisViolationError, InvalidGroupError, SpecFormatError, ZeroInSetError
 from .groups import MAX_GROUP_ORDER, Element, FiniteAbelianGroup, make_group, units_mod
@@ -53,16 +53,6 @@ def p_adic_valuation(n: int, p: int) -> int:
         n //= p
         r += 1
     return r
-
-
-def ramanujan_sum(y: int, p: int, r: int) -> int:
-    """Sum of the y-th powers of the primitive p^r-th roots of unity."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if r < 1:
-        raise ValueError(f"r must be at least 1, got {r}")
-    q = p**r
-    return ramanujan_row(q)[y % q]
 
 
 class FamilyVariant(str, Enum):
@@ -242,9 +232,8 @@ def build_plateaued_family(
     indicator = GroupFunction.indicator(H, cleaned)
     if indicator.unit_orbits is None:
         # the first s of S1 in sorted order with a unit multiple t outside S1
-        s, k, t = next(
-            (s, k, t) for s in sorted(cleaned) for k, t in H.unit_multiples(s) if t not in cleaned
-        )
+        s, k = H.unit_orbits(sorted(cleaned))[1]
+        t = H.scale(k, s)
         # a unit of Z_exponent that acts on s as k does
         d, e = H.element_order(s), H.exponent
         unit = next(u for u in range(k, e, d) if math.gcd(u, e) == 1)

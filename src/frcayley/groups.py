@@ -13,7 +13,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .cyclotomic import _factorize
 from .errors import InvalidGroupError
@@ -201,17 +201,45 @@ class FiniteAbelianGroup:
         e = self.exponent
         return e // math.gcd(e, *map(operator.mul, self._char_weights, g))
 
-    def unit_multiples(self, g: Element) -> Iterator[tuple[int, Element]]:
-        """(k, k g) for every unit k of Z_d, d = ord(g), increasing in k:
-        the unit orbit of g, starting at g itself."""
-        d = self.element_order(g)
-        units = units_mod(d) if d > 1 else [1]
-        return zip(units, self.scale_all(units, g))
-
-    def scale_all(self, scalars: Sequence[int], g: Element) -> Iterator[Element]:
-        """scale(k, g) for each k in scalars, in that order, built one
-        coordinate at a time."""
-        return zip(*([k * c % m for k in scalars] for c, m in zip(g, self.orders)))
+    def unit_orbits(self, members: Sequence[Element]) -> tuple[Optional[tuple], Optional[tuple]]:
+        """(orbits, None) when the distinct elements `members`, listed in
+        increasing order, are a union of unit orbits {k s : k in U(d)},
+        d = ord(s), with one (s, d) per orbit, s its least element; else
+        (None, (s, k)) for the first s with a multiple outside members and
+        the least unit k of Z_d with k s outside.  The units of each d are
+        listed once per call, after one multiple is found in members: a set
+        that is no union of orbits is most often refused on that one."""
+        if self.exponent == 2:
+            # U(2) = {1}: each element is an orbit; the zero, first if listed, has order 1
+            zero = int(bool(members) and not any(members[0]))
+            return tuple(zip(members, itertools.chain([1] * zero, itertools.repeat(2)))), None
+        inside = set(members)
+        seen: set[Element] = set()
+        units_of: dict[int, list[int]] = {}
+        reps = []
+        for s in members:
+            if s in seen:
+                continue
+            d = self.element_order(s)
+            if d in (3, 4, 6):  # U(d) = {1, -1}; a level set need not hold -s
+                t = self.neg(s)
+                if t not in inside:
+                    return None, (s, d - 1)
+                seen.add(t)
+            elif d > 2:  # else the orbit is {s}
+                units = units_of.get(d)
+                if units is None:
+                    k = next(k for k in range(2, d) if math.gcd(k, d) == 1)
+                    if self.scale(k, s) not in inside:
+                        return None, (s, k)
+                    units = units_of[d] = units_mod(d)
+                # k s for every unit k, built one coordinate at a time
+                orbit = set(zip(*([k * c % m for k in units] for c, m in zip(s, self.orders))))
+                if not orbit <= inside:
+                    return None, (s, next(k for k in units if self.scale(k, s) not in inside))
+                seen |= orbit
+            reps.append((s, d))
+        return tuple(reps), None
 
     def involution_choices(self) -> list[tuple[int, ...]]:
         """Per factor, the coordinates of the g with g + g = 0: 0 and m/2

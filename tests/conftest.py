@@ -10,7 +10,7 @@ import re
 import pytest
 
 import frcayley as fr
-from helpers import quiet_graph, random_symmetric_set, random_unit_closed_set
+from helpers import boolean_from_support, quiet_graph, random_symmetric_set, random_unit_closed_set
 
 UNITS_9 = (1, 2, 4, 5, 7, 8)
 
@@ -136,9 +136,7 @@ def corpus() -> list[tuple[str, fr.CayleyGraph]]:
         _w.simplefilter("ignore", fr.DisconnectedGraphWarning)
         f4 = fr.mm_bent(4)
         graphs.append(("famE-bent4", fr.build_bent_family(f4).graph))
-        semi = fr.BooleanFunction.from_support(
-            4, [(1, 1, 0, 0), (1, 1, 0, 1), (1, 1, 1, 0), (1, 1, 1, 1)]
-        )
+        semi = boolean_from_support(4, [(1, 1, 0, 0), (1, 1, 0, 1), (1, 1, 1, 0), (1, 1, 1, 1)])
         graphs.append(("famE-semibent4", fr.build_bent_family(semi).graph))
         quad_supp = [(1, 1, 0, 0), (1, 1, 0, 1), (1, 1, 1, 0), (1, 1, 1, 1)]
         graphs.append(("famD-4bit", fr.build_cublike_family(quad_supp, quad_supp).graph))

@@ -139,6 +139,15 @@ def transform_boolean(
     return BooleanFunction(n, tuple(table))
 
 
+def boolean_from_support(n: int, supp) -> BooleanFunction:
+    """The Boolean function on n bits that is 1 exactly on the bit tuples
+    of supp, each ranked with its first bit most significant."""
+    table = [0] * (1 << n)
+    for bits in supp:
+        table[int("".join(map(str, bits)), 2)] = 1
+    return BooleanFunction(n, tuple(table))
+
+
 def graph_of_support(f: BooleanFunction) -> CayleyGraph:
     """Cay(F_2^n, supp(f)); requires f(0) = 0."""
     return quiet_graph([2] * f.n, support(f))

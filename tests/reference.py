@@ -25,7 +25,7 @@ from frcayley import (
 from frcayley.cayley import _checked_graph, _closed_set
 from frcayley.errors import HypothesisViolationError, InvalidGroupError, SpecFormatError, ZeroInSetError
 from frcayley.families import BuiltFamily
-from frcayley.groups import make_group
+from frcayley.groups import make_group, units_mod
 from frcayley.ioutil import _json_int, _json_int_list, _json_int_rows, _json_list, _json_object, _json_str
 from frcayley.oracle import _require_dense
 
@@ -58,6 +58,28 @@ def group_fourier(f: GroupFunction) -> list[RootOfUnitySum]:
                 counts[(-G.character_exponent(z, x)) % e] += v
         out.append(RootOfUnitySum(e, tuple(counts)))
     return out
+
+
+def unit_orbits_by_elements(f: GroupFunction) -> Optional[tuple[tuple[tuple[int, ...], int, int], ...]]:
+    """GroupFunction.unit_orbits by one walk over the whole group, each
+    element visited once: every k x with k a unit mod ord(x), read by rank,
+    must carry the value of x."""
+    G = f.group
+    seen = bytearray(G.n)
+    out = []
+    for i, x in enumerate(G.elements()):
+        if seen[i]:
+            continue
+        d = G.element_order(x)
+        v = f.values[i]
+        for k in units_mod(d) if d > 1 else [1]:
+            j = G.rank(G.scale(k, x))
+            if f.values[j] != v:
+                return None
+            seen[j] = 1
+        if v:
+            out.append((x, d, v))
+    return tuple(out)
 
 
 def character_table(group: FiniteAbelianGroup) -> np.ndarray:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import time
 
 import numpy as np
@@ -33,12 +34,13 @@ from frcayley import (
 )
 from conftest import BENT4_SUPPORT, UNITS_9
 from helpers import (
+    boolean_from_support,
     graph_of_support,
     naive_walsh,
     random_invertible_gf2,
     transform_boolean,
 )
-from reference import group_fourier
+from reference import group_fourier, unit_orbits_by_elements
 
 
 def boolean_tables(max_n=4, min_n=1):
@@ -122,7 +124,7 @@ class TestBooleanFunction:
             BooleanFunction.from_hex("788")
 
     def test_from_support_matches_calls(self):
-        f = BooleanFunction.from_support(4, BENT4_SUPPORT)
+        f = boolean_from_support(4, BENT4_SUPPORT)
         for x in f.group.elements():
             assert f(x) == (1 if x in BENT4_SUPPORT else 0)
 
@@ -365,6 +367,13 @@ class TestIsClassFunction:
         g = make_group([2, 3])
         assert is_class_function(GroupFunction(g, (1,) * 6))
 
+    @pytest.mark.parametrize("orders, x", [([3], (1,)), ([4], (1,)), ([6], (1,)), ([2, 6], (1, 1))])
+    def test_point_of_order_three_four_or_six_is_not(self, orders, x):
+        # the orbit of x is {x, -x}, and a level set need not hold -x
+        f = GroupFunction.indicator(make_group(orders), [x])
+        assert not is_class_function(f)
+        assert fourier_integers(f) is None
+
 
 def small_groups():
     """Groups of order at most 128, among them (Z2)^k, where the transform
@@ -381,8 +390,8 @@ def class_function(group, rng: random.Random, big: bool) -> GroupFunction:
     for i, x in enumerate(group.elements()):
         if values[i] is None:
             v = rng.randrange(-top, top + 1)
-            for _, y in group.unit_multiples(x):
-                values[group.rank(y)] = v
+            for u in units_mod(group.exponent):
+                values[group.rank(group.scale(u, x))] = v
     return GroupFunction(group, tuple(values))
 
 
@@ -410,6 +419,7 @@ class TestClassFunctionTransform:
             f(x) == f(group.scale(u, x)) for u in units_mod(group.exponent) for x in group.elements()
         )
         assert is_class_function(f) == brute
+        assert f.unit_orbits == unit_orbits_by_elements(f)
         if not brute:
             assert fourier_integers(f) is None
             assert any(c.as_integer() is None for c in group_fourier(f))
@@ -441,7 +451,11 @@ class TestPlateauedLevel:
     def test_rejects_non_class_function(self):
         g = make_group([9])
         f = GroupFunction.indicator(g, [(1,)])
-        with pytest.raises(NotClassFunctionError):
+        message = (
+            "the function is not constant on unit-multiplication orbits: "
+            "it is 1 at (1,) but 0 at (2,) = 2 * (1,)"
+        )
+        with pytest.raises(NotClassFunctionError, match=re.escape(message)):
             plateaued_level(f, 3)
 
     def test_rejects_p_below_two(self):

@@ -289,7 +289,7 @@ class TestUnitOrbits:
     def test_empty_set_is_closed(self):
         assert quiet_graph([2, 3], []).unit_orbits == ()
 
-    # Elements of orders 3, 4 and 6 (orbit {s, -s}, taken without a walk)
+    # Elements of orders 3, 4 and 6 (orbit {s, -s})
     # next to elements of orders 5, 8 and 12 (longer orbits).
     MIXED_ORDERS = [[12, 5], [8, 3], [24], [6, 4, 5], [2, 12, 2]]
 

@@ -556,6 +556,17 @@ class TestPlateauedCommand:
         code, _, _ = run(capsys, ["plateaued", path, "--p", "3"])
         assert code == 3
 
+    def test_non_class_function_names_two_values_on_one_orbit(self, capsys, tmp_path):
+        # f is 2 at 1, 2, 4, 5 and 7 but 3 at 8 = 8 * 1, all of one orbit
+        doc = {"group": [9], "values": [0, 2, 2, 0, 2, 2, 0, 2, 3]}
+        path = write_json(tmp_path, "fn.json", doc)
+        code, out, err = run(capsys, ["plateaued", path, "--p", "3"])
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: the function is not constant on unit-multiplication orbits: "
+            "it is 2 at (1,) but 3 at (8,) = 8 * (1,)\n"
+        )
+
     def test_missing_values_key_is_exit_two(self, capsys, tmp_path):
         path = write_json(tmp_path, "fn.json", {"group": [9]})
         code, _, _ = run(capsys, ["plateaued", path, "--p", "3"])

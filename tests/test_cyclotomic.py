@@ -122,7 +122,7 @@ class TestRootOfUnitySumConstruction:
         assert s.as_integer() == -3
 
     def test_from_counts(self):
-        s = RootOfUnitySum.from_counts(3, counts_from_dict(3, {0: 1, 1: 1, 2: 1}))
+        s = RootOfUnitySum(3, counts_from_dict(3, {0: 1, 1: 1, 2: 1}))
         assert s.as_integer() == 0
 
     def test_bad_length_rejected(self):
@@ -136,17 +136,17 @@ class TestReduction:
         assert s.as_integer() == -1
 
     def test_full_orbit_vanishes(self):
-        s = RootOfUnitySum.from_counts(3, counts_from_dict(3, {0: 1, 1: 1, 2: 1}))
+        s = RootOfUnitySum(3, counts_from_dict(3, {0: 1, 1: 1, 2: 1}))
         assert s.reduced().counts[0] == 0
         assert s.as_integer() == 0
 
     def test_unit_exponent_sum_mod_9(self):
         # Exponents coprime to 9 sum to the Moebius value mu(9) = 0.
-        s = RootOfUnitySum.from_counts(9, counts_from_dict(9, {u: 1 for u in (1, 2, 4, 5, 7, 8)}))
+        s = RootOfUnitySum(9, counts_from_dict(9, {u: 1 for u in (1, 2, 4, 5, 7, 8)}))
         assert s.as_integer() == 0
 
     def test_reduced_degree_below_totient(self):
-        s = RootOfUnitySum.from_counts(12, tuple(k + 1 for k in range(12)))
+        s = RootOfUnitySum(12, tuple(k + 1 for k in range(12)))
         red = s.reduced()
         assert all(c == 0 for c in red.counts[totient(12):])
 
@@ -165,7 +165,7 @@ class TestAsInteger:
         assert RootOfUnitySum.root(4, 1).as_integer() is None
 
     def test_primitive_fifth_roots_sum(self):
-        s = RootOfUnitySum.from_counts(5, counts_from_dict(5, {k: 1 for k in range(1, 5)}))
+        s = RootOfUnitySum(5, counts_from_dict(5, {k: 1 for k in range(1, 5)}))
         assert s.as_integer() == -1
 
     @given(st.integers(min_value=1, max_value=20), st.integers(min_value=-9, max_value=9))
@@ -181,7 +181,7 @@ class TestAsInteger:
             for u in range(1, e + 1):
                 if math.gcd(u, e) == 1:
                     orbit[(u * base) % e] = weight
-            s = RootOfUnitySum.from_counts(e, counts_from_dict(e, orbit))
+            s = RootOfUnitySum(e, counts_from_dict(e, orbit))
             got = s.as_integer()
             assert got is not None
             assert abs(got - s.approx().real) < 1e-6
@@ -192,15 +192,13 @@ class TestArithmetic:
         st.integers(min_value=1, max_value=16),
         st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=16),
         st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=16),
-        st.integers(min_value=-3, max_value=3),
     )
-    def test_ring_ops_match_complex_arithmetic(self, e, raw_a, raw_b, c):
+    def test_ring_ops_match_complex_arithmetic(self, e, raw_a, raw_b):
         a = RootOfUnitySum(e, tuple((raw_a + [0] * e)[:e]))
         b = RootOfUnitySum(e, tuple((raw_b + [0] * e)[:e]))
         assert cmath.isclose((a + b).approx(), a.approx() + b.approx(), abs_tol=1e-9)
         assert cmath.isclose((a - b).approx(), a.approx() - b.approx(), abs_tol=1e-9)
         assert cmath.isclose((-a).approx(), -a.approx(), abs_tol=1e-9)
-        assert cmath.isclose(a.scaled(c).approx(), c * a.approx(), abs_tol=1e-9)
 
     def test_mixed_moduli_rejected(self):
         with pytest.raises(ValueError):
@@ -208,6 +206,6 @@ class TestArithmetic:
 
     def test_value_based_equality(self):
         # 1 + omega_3 + omega_3^2 == 0 as cyclotomic integers.
-        full = RootOfUnitySum.from_counts(3, counts_from_dict(3, {0: 1, 1: 1, 2: 1}))
+        full = RootOfUnitySum(3, counts_from_dict(3, {0: 1, 1: 1, 2: 1}))
         assert full == RootOfUnitySum.zero(3)
         assert RootOfUnitySum.root(4, 2) == RootOfUnitySum.integer(4, -1)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import re
 import warnings
 
 import pytest
@@ -31,9 +32,9 @@ from frcayley import (
     is_prime,
     mm_bent,
     p_adic_valuation,
-    ramanujan_sum,
     verify_fr,
 )
+from frcayley.cyclotomic import ramanujan_row
 from conftest import BENT4_SET, UNITS_9
 from helpers import random_unit_closed_set
 from reference import build_family_by_rows, group_fourier
@@ -72,26 +73,19 @@ class TestPAdicValuation:
 
 
 class TestRamanujanSum:
+    """The sums c_q(y) over the primitive q-th roots of unity, q a prime
+    power, as cyclotomic.ramanujan_row lists them."""
+
     def test_table_mod_nine(self):
-        assert [ramanujan_sum(y, 3, 2) for y in range(9)] == [
-            6, 0, 0, -3, 0, 0, -3, 0, 0,
-        ]
+        assert ramanujan_row(9) == (6, 0, 0, -3, 0, 0, -3, 0, 0)
 
     def test_divisible_case(self):
-        assert ramanujan_sum(0, 5, 1) == 4
-        assert ramanujan_sum(10, 5, 1) == 4
+        assert ramanujan_row(5)[0] == 4
+        assert ramanujan_row(5)[10 % 5] == 4
 
     def test_boundary_valuation(self):
-        assert ramanujan_sum(1, 5, 1) == -1
-        assert ramanujan_sum(5, 5, 2) == -5
-
-    def test_rejects_non_prime(self):
-        with pytest.raises(ValueError):
-            ramanujan_sum(1, 6, 1)
-
-    def test_rejects_r_below_one(self):
-        with pytest.raises(ValueError):
-            ramanujan_sum(1, 3, 0)
+        assert ramanujan_row(5)[1] == -1
+        assert ramanujan_row(25)[5] == -5
 
     @pytest.mark.parametrize("p,r", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)])
     def test_matches_direct_character_sum(self, p, r):
@@ -102,7 +96,7 @@ class TestRamanujanSum:
                 for u in range(1, q + 1)
                 if math.gcd(u, q) == 1
             )
-            assert abs(ramanujan_sum(y, p, r) - direct) < 1e-9
+            assert abs(ramanujan_row(q)[y] - direct) < 1e-9
 
 
 class TestRamanujanFamily:
@@ -249,8 +243,17 @@ class TestPlateauedFamily:
             build_plateaued_family([9], [(0,), (1,), (8,)])
 
     def test_rejects_non_unit_closed_set(self):
-        with pytest.raises(HypothesisViolationError, match="unit"):
-            build_plateaued_family([9], [(1,), (8,)])
+        # the first s in sorted order with a unit multiple t outside S1, and
+        # a unit of Z_exponent that takes s to t: 2 s for s of order 3 in
+        # Z_3 x Z_4 is taken by the unit 5 of Z_12
+        for h, s1, text in [
+            ([9], [(1,), (8,)], "the unit 2: (1,) is inside but (2,) is not"),
+            ([3, 4], [(1, 0)], "the unit 5: (1, 0) is inside but (2, 0) is not"),
+            ([2, 9], [(0, 1), (0, 2), (0, 8), (1, 0)], "the unit 13: (0, 1) is inside but (0, 4) is not"),
+        ]:
+            message = "S1 is not closed under multiplication by " + text
+            with pytest.raises(HypothesisViolationError, match=re.escape(message) + "$"):
+                build_plateaued_family(h, s1)
 
     def test_rejects_empty_set(self):
         with pytest.raises((HypothesisViolationError, ZeroInSetError, ValueError)):

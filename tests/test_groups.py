@@ -185,16 +185,47 @@ class TestElementOrder:
         expected = math.lcm(*(m // math.gcd(m, c) for c, m in zip(x, orders)))
         assert g.element_order(x) == expected
 
-    @settings(max_examples=200)
+    @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(min_value=2, max_value=30), min_size=1, max_size=4), st.data())
-    def test_unit_multiples_are_the_scaled_units(self, orders, data):
+    def test_unit_orbit_is_the_scaled_units(self, orders, data):
+        # the orbit of x, as the walk is given it, is one orbit: its least
+        # element with the order of x (1 for the zero, also on a cube)
         g = make_group(orders)
         x = data.draw(
             st.one_of(st.just(g.zero), st.tuples(*(st.integers(0, m - 1) for m in orders)))
         )
-        d = g.element_order(x)
-        expected = [(k, g.scale(k, x)) for k in range(1, max(d, 2)) if math.gcd(k, d) == 1]
-        assert list(g.unit_multiples(x)) == expected
+        d = math.lcm(*(m // math.gcd(m, c) for c, m in zip(x, orders)))
+        orbit = sorted({g.scale(k, x) for k in range(1, max(d, 2)) if math.gcd(k, d) == 1})
+        assert g.unit_orbits(orbit) == (((orbit[0], d),), None)
+
+
+class TestUnitOrbitWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(min_value=2, max_value=12), min_size=1, max_size=3), st.data())
+    def test_agrees_with_brute_force(self, orders, data):
+        # a random set, or a random union of unit orbits less at most one
+        # element: the first s in sorted order with a multiple outside and
+        # the least unit k with k s outside, else the orbits
+        g = make_group(orders)
+        elements = list(g.elements())
+        members = {elements[i] for i in data.draw(st.sets(st.integers(0, g.n - 1), max_size=30))}
+        if data.draw(st.booleans()):
+            members = {g.scale(u, x) for x in members for u in units_mod(g.exponent)}
+            if members and data.draw(st.booleans()):
+                members.remove(data.draw(st.sampled_from(sorted(members))))
+        members = sorted(members)
+
+        def misses(s):
+            d = g.element_order(s)
+            units = [k for k in range(1, max(d, 2)) if math.gcd(k, d) == 1]
+            return [k for k in units if g.scale(k, s) not in members]
+
+        faults = [(s, misses(s)[0]) for s in members if misses(s)]
+        if faults:
+            assert g.unit_orbits(members) == (None, faults[0])
+        else:
+            reps = sorted({min(g.scale(u, s) for u in units_mod(g.exponent)) for s in members})
+            assert g.unit_orbits(members) == (tuple((s, g.element_order(s)) for s in reps), None)
 
 
 class TestInvolutions:

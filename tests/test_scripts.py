@@ -136,3 +136,17 @@ def test_oracle_probe_verifies_at_the_dense_cap(probe):
     assert report["engine_agrees"] is True
     # a few 256 x 256 arrays at a time: the tables, then D and H(t)
     assert 0 < report["verify_fr_tracemalloc_peak_mib"] < 4
+
+
+def test_class_function_probe(probe):
+    # a smoke test: every indicator is unit-closed, and the bounds are
+    # loose, some ten times the CPU seconds each takes
+    report = probe.probe_class_function()
+    sizes = {"z2_z4_z12500": (10**5, 40000), "z4_6": (4096, 4032), "z4096": (4096, 2048)}
+    for key, (n, degree) in sizes.items():
+        assert report[key]["n"] == n and report[key]["degree"] == degree
+        assert report[key]["class_function"] is True
+        assert 0 <= report[key]["cpu_s"] < 2.0
+    family = report["family_c_z4096"]
+    assert family["label"] == "plateaued H=[4096] |S1|=2048 p=2 r0=11"
+    assert 0 <= family["cpu_s"] < 2.0
