@@ -16,64 +16,24 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Dense integer polynomial; little-endian coefficients with no trailing zeros."""
-
-    coeffs: tuple[int, ...]
-
-    @staticmethod
-    def of(coeffs: Sequence[int]) -> "IntPolynomial":
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return IntPolynomial(tuple(cs))
-
-    @staticmethod
-    def x_pow_minus_one(e: int) -> "IntPolynomial":
-        return IntPolynomial((-1,) + (0,) * (e - 1) + (1,))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero or other.is_zero:
-            return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial.of(out)
-
-    def divmod_by(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
-        """Long division by a monic divisor; quotient and remainder stay integral."""
-        if not divisor.is_monic:
-            raise ValueError("division is only supported by monic divisors")
-        rem = list(self.coeffs)
-        d = divisor.degree
-        quot = [0] * max(0, len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c:
-                quot[i - d] = c
-                for j, b in enumerate(divisor.coeffs):
-                    rem[i - d + j] -= c * b
-        return IntPolynomial.of(quot), IntPolynomial.of(rem)
-
-
-def _divisors(e: int) -> list[int]:
-    return [d for d in range(1, e + 1) if e % d == 0]
+def _divide_monic(num: Sequence[int], monic: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of num by a monic polynomial, both integer
+    coefficient lists with the constant term first.  The divisor's leading
+    term is 1, so each step clears one top entry of the remainder and
+    subtracts that multiple of the divisor's nonzero lower terms only.  The
+    remainder keeps len(num) entries, zero from the divisor's degree on."""
+    deg = len(monic) - 1
+    terms = [(j, b) for j, b in enumerate(monic[:deg]) if b]
+    rem = list(num)
+    quot = [0] * (len(rem) - deg)
+    for base in range(len(rem) - 1 - deg, -1, -1):
+        c = rem[base + deg]
+        if c:
+            quot[base] = c
+            rem[base + deg] = 0
+            for j, b in terms:
+                rem[base + j] -= c * b
+    return quot, rem
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -120,23 +80,22 @@ def ramanujan_row(d: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(e: int) -> IntPolynomial:
-    """Minimal polynomial of a primitive e-th root of unity.
+def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
+    """Coefficients, constant term first, of the minimal polynomial of a
+    primitive e-th root of unity.
 
-    Computed by exact division of x^e - 1 by the product of the cyclotomic
-    polynomials of the proper divisors of e.
+    Computed from x^e - 1 by exact division by the cyclotomic polynomial of
+    each proper divisor of e in turn.
     """
     if e < 1:
         raise ValueError(f"order must be >= 1, got {e}")
-    if e == 1:
-        return IntPolynomial((-1, 1))
-    den = IntPolynomial((1,))
-    for d in _divisors(e)[:-1]:
-        den = den * cyclotomic_polynomial(d)
-    quot, rem = IntPolynomial.x_pow_minus_one(e).divmod_by(den)
-    if not rem.is_zero:  # impossible for a correct divisor product
-        raise ArithmeticError(f"inexact cyclotomic division at order {e}")
-    return quot
+    phi = [-1] + [0] * (e - 1) + [1]  # x^e - 1
+    for d in range(1, e):
+        if e % d == 0:
+            phi, rem = _divide_monic(phi, cyclotomic_polynomial(d))
+            if any(rem):  # impossible for a correct divisor
+                raise ArithmeticError(f"inexact cyclotomic division at order {e}")
+    return tuple(phi)
 
 
 def approx_terms(modulus: int, terms: Iterable[tuple[int, int]]) -> complex:
@@ -206,21 +165,13 @@ class RootOfUnitySum:
     # -- canonicalization -------------------------------------------------
 
     def reduced(self) -> "RootOfUnitySum":
-        """Canonical representative modulo the cyclotomic polynomial.
+        """Canonical representative: the remainder of the counts by the
+        cyclotomic polynomial of the modulus.
 
         After reduction only the first phi(modulus) entries may be nonzero,
         and the value is an integer iff all non-constant entries vanish.
         """
-        phi = cyclotomic_polynomial(self.modulus).coeffs
-        deg = len(phi) - 1
-        rem = list(self.counts)
-        for i in range(len(rem) - 1, deg - 1, -1):
-            c = rem[i]
-            if c:
-                rem[i] = 0
-                base = i - deg
-                for j in range(deg):
-                    rem[base + j] -= c * phi[j]
+        rem = _divide_monic(self.counts, cyclotomic_polynomial(self.modulus))[1]
         return RootOfUnitySum(self.modulus, tuple(rem))
 
     def as_integer(self) -> Optional[int]:

@@ -27,18 +27,7 @@ from .ioutil import _exact_int_rows, _json_int, _json_int_list, _json_int_rows, 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality by trial division (fine at family sizes)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return _factorize(n) == {n: 1}
 
 
 def p_adic_valuation(n: int, p: int) -> int:
@@ -88,8 +77,9 @@ def _fr_prediction(a: Element, modulus: int, rho0: int = 1) -> FRWitness:
 
 def _require_bounded_prime_power(p: int, r: int) -> None:
     """Refuse a factor Z_{p^r} above the group-order ceiling before any
-    primality test or power of p runs on it."""
-    if p >= 2 and r >= 1 and (p > MAX_GROUP_ORDER or r >= MAX_GROUP_ORDER.bit_length()):
+    primality test or power of p runs on it; a p above the ceiling is
+    refused whatever r is, since the primality test would trial-divide it."""
+    if p > MAX_GROUP_ORDER or (p >= 2 and r >= MAX_GROUP_ORDER.bit_length()):
         raise InvalidGroupError(
             f"the factor Z_{{{p}^{r}}} exceeds the group order ceiling of "
             f"{MAX_GROUP_ORDER} elements"
@@ -288,7 +278,9 @@ def build_cublike_family(
         n_bits = len((s0 or s1)[0])
     if n_bits < 1:
         raise ValueError(f"bit width must be at least 1, got {n_bits}")
-    base = make_group([2] * n_bits)
+    # (Z2)^21 is above the order ceiling, so a wider n_bits is refused as
+    # that group is, before a list of n_bits factors is built
+    base = make_group([2] * min(n_bits, MAX_GROUP_ORDER.bit_length()))
     set0, set1 = _checked_rows(base, s0), _checked_rows(base, s1)
     if set0 is None or set1 is None:
         set0 = {base.require_element(tuple(r)) for r in s0}

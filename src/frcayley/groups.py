@@ -34,13 +34,6 @@ def units_mod(e: int) -> list[int]:
 MAX_GROUP_ORDER = 1 << 20
 
 
-def _has_full_rank_mod(rows: Iterable[Sequence[int]], cols: Sequence[int], p: int) -> bool:
-    """True iff the given columns of rows, reduced mod the prime p, span
-    F_p^len(cols).  Gaussian elimination over the rows in order, each
-    distinct reduced vector tried once, that stops at full rank."""
-    return _rank_mod(_reduced_rows(rows, cols, p), len(cols), p)[0]
-
-
 def _reduced_rows(
     rows: Iterable[Sequence[int]], cols: Sequence[int], p: int
 ) -> Iterator[tuple[int, ...]]:
@@ -52,9 +45,9 @@ def _reduced_rows(
 
 
 def _rank_mod(vectors: Iterable[tuple[int, ...]], width: int, p: int) -> tuple[bool, int, int]:
-    """(full rank, vectors read, reductions) of _has_full_rank_mod's
-    elimination over vectors of F_p^width; a reduction is one subtraction
-    of a pivot row."""
+    """(full rank, vectors read, reductions) of Gaussian elimination over
+    vectors of F_p^width in order, each distinct vector tried once, that
+    stops at full rank; a reduction is one subtraction of a pivot row."""
     basis: dict[int, list[int]] = {}  # pivot position -> row, pivot 1, zero before it
     tried: set[tuple[int, ...]] = set()
     read = reductions = 0

@@ -8,6 +8,7 @@ library against these.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -28,6 +29,44 @@ from frcayley.families import BuiltFamily
 from frcayley.groups import make_group, units_mod
 from frcayley.ioutil import _json_int, _json_int_list, _json_int_rows, _json_list, _json_object, _json_str
 from frcayley.oracle import _require_dense
+
+
+def poly_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer polynomials, constant term first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """Schoolbook long division by a monic den, its leading term included:
+    (quotient, remainder), the remainder of len(num) entries."""
+    rem = list(num)
+    d = len(den) - 1
+    quot = [0] * (len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        quot[i - d] = c
+        for j, b in enumerate(den):
+            rem[i - d + j] -= c * b
+    return quot, rem
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial_by_product(e: int) -> tuple[int, ...]:
+    """Phi_e as x^e - 1 divided once by the product of Phi_d over the
+    proper divisors d of e, each Phi_d from this function too: the
+    reference for `cyclotomic_polynomial`."""
+    den = [1]
+    for d in range(1, e):
+        if e % d == 0:
+            den = poly_mul(den, list(cyclotomic_polynomial_by_product(d)))
+    quot, rem = poly_divmod([-1] + [0] * (e - 1) + [1], den)
+    if any(rem):
+        raise ArithmeticError(f"inexact cyclotomic division at order {e}")
+    return tuple(quot)
 
 
 def cyclotomic_spectrum(graph: CayleyGraph) -> list[RootOfUnitySum]:

@@ -1243,10 +1243,19 @@ class TestGroupOrderCeiling:
             (["construct"], {"variant": "MULTI_PRIME_B", "prime_powers": [[2, 2], [HUGE_PRIME, 1]]}),
             # a 2^20-bit table: (Z2)^21, refused before the table is decoded
             (["construct"], {"variant": "BENT_E", "f": "7888" * 2**16}),
+            # p above the ceiling is refused before it is trial-divided, whatever r is
+            (["construct"], {"variant": "RAMANUJAN_A", "p": HUGE_PRIME, "r": 0}),
+            (["construct"], {"variant": "RAMANUJAN_A", "p": HUGE_PRIME, "r": -1}),
+            (["construct"], {"variant": "MULTI_PRIME_B", "prime_powers": [[2, 2], [HUGE_PRIME, 0]]}),
+            # more than 20 bits is refused before a list of n factors is built
+            (["construct"], {"variant": "CUBLIKE_D", "S0": [], "S1": [], "n": 21}),
+            (["construct"], {"variant": "CUBLIKE_D", "S0": [], "S1": [], "n": 10**12}),
         ],
         ids=[
             "graph", "family-A", "family-B", "family-A-huge-p", "family-A-huge-r",
-            "family-B-huge-p", "family-E-huge-table",
+            "family-B-huge-p", "family-E-huge-table", "family-A-huge-p-r-zero",
+            "family-A-huge-p-r-negative", "family-B-huge-p-r-zero", "family-D-21-bits",
+            "family-D-huge-n",
         ],
     )
     def test_exit_three_within_a_second(self, capsys, tmp_path, argv, doc):

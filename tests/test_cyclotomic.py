@@ -1,4 +1,4 @@
-"""Exact cyclotomic-integer arithmetic: polynomials and root-of-unity sums."""
+"""Exact cyclotomic-integer arithmetic: cyclotomic polynomials and root-of-unity sums."""
 
 from __future__ import annotations
 
@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frcayley import IntPolynomial, RootOfUnitySum, cyclotomic_polynomial
+from frcayley import RootOfUnitySum, cyclotomic_polynomial
+from frcayley.cyclotomic import _divide_monic
+from reference import cyclotomic_polynomial_by_product, poly_divmod, poly_mul
 
 
 def totient(e: int) -> int:
@@ -23,84 +25,72 @@ def counts_from_dict(e: int, weights: dict[int, int]) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def divide_x_e_minus_one(e: int, divisor_factors: list[IntPolynomial]) -> IntPolynomial:
+def x_pow_minus_one(e: int) -> list[int]:
+    return [-1] + [0] * (e - 1) + [1]
+
+
+def divide_x_e_minus_one(e: int, divisor_factors: list[list[int]]) -> tuple[int, ...]:
     """Independent oracle: (x^e - 1) / product(divisor_factors), exact."""
-    num = IntPolynomial.x_pow_minus_one(e)
+    num = x_pow_minus_one(e)
     for f in divisor_factors:
-        num, rem = num.divmod_by(f)
-        assert rem.degree == -1
-    return num
+        num, rem = poly_divmod(num, f)
+        assert not any(rem)
+    return tuple(num)
 
 
-class TestIntPolynomial:
-    def test_of_strips_trailing_zeros(self):
-        assert IntPolynomial.of([1, 2, 0, 0]).coeffs == (1, 2)
-
-    def test_zero_degree(self):
-        assert IntPolynomial.of([]).degree == -1
-        assert IntPolynomial.of([0]).degree == -1
-
-    def test_arithmetic(self):
-        p = IntPolynomial.of([1, 1])   # 1 + x
-        q = IntPolynomial.of([-1, 1])  # -1 + x
-        assert (p * q).coeffs == (-1, 0, 1)
-
-    def test_divmod_exact(self):
-        num = IntPolynomial.x_pow_minus_one(6)
-        quo, rem = num.divmod_by(IntPolynomial.of([-1, 1]))
-        assert rem.degree == -1
-        assert quo.coeffs == (1, 1, 1, 1, 1, 1)
-
-    def test_divmod_requires_monic(self):
-        with pytest.raises(ValueError):
-            IntPolynomial.of([1, 1]).divmod_by(IntPolynomial.of([2]))
+class TestDivideMonic:
+    def test_exact_quotient(self):
+        quo, rem = _divide_monic(x_pow_minus_one(6), [-1, 1])
+        assert quo == [1, 1, 1, 1, 1, 1]
+        assert rem == [0] * 7
 
 
 class TestCyclotomicPolynomial:
     def test_first(self):
-        assert cyclotomic_polynomial(1).coeffs == (-1, 1)
+        assert cyclotomic_polynomial(1) == (-1, 1)
 
     def test_sixth(self):
         # Oracle: strip the proper cyclotomic factors off x^6 - 1 by hand.
         oracle = divide_x_e_minus_one(
             6,
             [
-                IntPolynomial.of([-1, 1]),      # e = 1
-                IntPolynomial.of([1, 1]),       # e = 2
-                IntPolynomial.of([1, 1, 1]),    # e = 3
+                [-1, 1],      # e = 1
+                [1, 1],       # e = 2
+                [1, 1, 1],    # e = 3
             ],
         )
         assert cyclotomic_polynomial(6) == oracle
-        assert cyclotomic_polynomial(6).coeffs == (1, -1, 1)
+        assert cyclotomic_polynomial(6) == (1, -1, 1)
 
     def test_ninth(self):
-        oracle = divide_x_e_minus_one(
-            9,
-            [IntPolynomial.of([-1, 1]), IntPolynomial.of([1, 1, 1])],
-        )
+        oracle = divide_x_e_minus_one(9, [[-1, 1], [1, 1, 1]])
         assert cyclotomic_polynomial(9) == oracle
-        assert cyclotomic_polynomial(9).coeffs == (1, 0, 0, 1, 0, 0, 1)
+        assert cyclotomic_polynomial(9) == (1, 0, 0, 1, 0, 0, 1)
 
     @pytest.mark.parametrize("e", range(1, 41))
     def test_monic_with_totient_degree(self, e):
         phi = cyclotomic_polynomial(e)
-        assert phi.is_monic
-        assert phi.degree == totient(e)
+        assert phi[-1] == 1
+        assert len(phi) - 1 == totient(e)
 
     @pytest.mark.parametrize("e", [1, 2, 6, 12, 30, 48, 64])
     def test_product_over_divisors(self, e):
-        prod = IntPolynomial.of([1])
+        prod = [1]
         for d in range(1, e + 1):
             if e % d == 0:
-                prod = prod * cyclotomic_polynomial(d)
-        assert prod == IntPolynomial.x_pow_minus_one(e)
+                prod = poly_mul(prod, list(cyclotomic_polynomial(d)))
+        assert prod == x_pow_minus_one(e)
+
+    def test_matches_the_product_reference(self):
+        for e in range(1, 301):
+            assert cyclotomic_polynomial(e) == cyclotomic_polynomial_by_product(e), e
 
     @pytest.mark.parametrize("e", range(1, 33))
     def test_roots_are_primitive_roots_of_unity(self, e):
         phi = cyclotomic_polynomial(e)
         for k in range(1, e + 1):
             z = cmath.exp(2j * cmath.pi * k / e)
-            val = sum(c * z**i for i, c in enumerate(phi.coeffs))
+            val = sum(c * z**i for i, c in enumerate(phi))
             if math.gcd(k, e) == 1:
                 assert abs(val) < 1e-7
             else:
@@ -158,6 +148,16 @@ class TestReduction:
         counts = tuple((raw + [0] * e)[:e])
         s = RootOfUnitySum(e, counts)
         assert cmath.isclose(s.approx(), s.reduced().approx(), abs_tol=1e-9)
+
+    @settings(deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=150),
+        st.lists(st.integers(min_value=-9, max_value=9), max_size=150),
+    )
+    def test_reduction_is_the_reference_remainder(self, e, raw):
+        counts = tuple((raw + [0] * e)[:e])
+        rem = poly_divmod(list(counts), list(cyclotomic_polynomial_by_product(e)))[1]
+        assert RootOfUnitySum(e, counts).reduced().counts == tuple(rem)
 
 
 class TestAsInteger:

@@ -1,10 +1,12 @@
 """Checks in boolfn, families and oracle raise explicitly; none is an
 assert, so python -O keeps them all.  No module of the package holds an
-assert statement at all."""
+assert statement at all, and no private helper that the package itself
+never calls."""
 
 from __future__ import annotations
 
 import ast
+import collections
 import dataclasses
 import subprocess
 import sys
@@ -112,3 +114,35 @@ def test_no_assert_statement(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} asserts at lines {lines}; raise explicitly instead"
+
+
+def referenced_names(node: ast.AST) -> collections.Counter:
+    """How often each name is read as a variable or an attribute under node."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+PACKAGE_REFERENCES = sum(
+    (referenced_names(ast.parse(p.read_text(encoding="utf-8"))) for p in SOURCES),
+    collections.Counter(),
+)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_private_definition_is_referenced(path):
+    # A private (single-underscore) function, method or class that nothing in
+    # the package reads, apart from its own body, is a helper the system does
+    # not use: only the tests would keep it alive.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unused = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and PACKAGE_REFERENCES[node.name] <= referenced_names(node)[node.name]
+    ]
+    assert unused == [], f"{path.name} defines {unused}, which no code in the package reads"

@@ -49,6 +49,11 @@ class TestIsPrime:
     def test_composites_and_small(self, n):
         assert not is_prime(n)
 
+    @settings(deadline=None)
+    @given(st.integers(min_value=-5, max_value=10**4))
+    def test_matches_brute_force(self, n):
+        assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, n)))
+
 
 class TestPAdicValuation:
     @pytest.mark.parametrize(

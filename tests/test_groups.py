@@ -14,7 +14,6 @@ from frcayley import InvalidGroupError, RootOfUnitySum, make_group, units_mod
 from frcayley.groups import (
     MAX_GROUP_ORDER,
     _coprime_stride,
-    _has_full_rank_mod,
     _rank_mod,
     _reduced_rows,
     _stride_order,
@@ -58,6 +57,7 @@ class TestMakeGroup:
         with pytest.raises(InvalidGroupError):
             make_group([2, "9"])
 
+    @settings(deadline=None)
     @given(group_orders)
     def test_order_and_exponent(self, orders):
         g = make_group(orders)
@@ -73,6 +73,7 @@ class TestElementIteration:
             (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2),
         ]
 
+    @settings(deadline=None)
     @given(group_orders)
     def test_sorted_and_complete(self, orders):
         g = make_group(orders)
@@ -80,6 +81,7 @@ class TestElementIteration:
         assert len(elems) == g.n
         assert elems == sorted(elems)
 
+    @settings(deadline=None)
     @given(group_orders, st.data())
     def test_rank_unrank_roundtrip(self, orders, data):
         g = make_group(orders)
@@ -120,6 +122,7 @@ class TestCharacterExponent:
         g = make_group([2])
         assert g.character_exponent((1,), (1,)) == 1
 
+    @settings(deadline=None)
     @given(group_orders, st.data())
     def test_symmetric(self, orders, data):
         g = make_group(orders)
@@ -128,6 +131,7 @@ class TestCharacterExponent:
         b = data.draw(st.sampled_from(elems))
         assert g.character_exponent(a, b) == g.character_exponent(b, a)
 
+    @settings(deadline=None)
     @given(group_orders, st.data())
     def test_biadditive(self, orders, data):
         g = make_group(orders)
@@ -139,6 +143,7 @@ class TestCharacterExponent:
         rhs = (g.character_exponent(a, h) + g.character_exponent(b, h)) % g.exponent
         assert lhs == rhs
 
+    @settings(deadline=None)
     @given(group_orders, st.data())
     def test_orthogonality(self, orders, data):
         # sum_h chi_g(h) is n for g = 0 and exactly 0 otherwise, checked in
@@ -163,6 +168,7 @@ class TestElementOrder:
     def test_frozen(self, orders, g, expected):
         assert make_group(orders).element_order(g) == expected
 
+    @settings(deadline=None)
     @given(group_orders, st.data())
     def test_order_is_minimal_annihilator(self, orders, data):
         g = make_group(orders)
@@ -175,7 +181,7 @@ class TestElementOrder:
                 assert g.scale(divisor, x) != g.zero
 
 
-    @settings(max_examples=300)
+    @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(min_value=2, max_value=30), min_size=1, max_size=4), st.data())
     def test_one_gcd_is_the_lcm_of_the_factor_orders(self, orders, data):
         g = make_group(orders)
@@ -240,6 +246,7 @@ class TestInvolutions:
     def test_odd_order_empty(self):
         assert make_group([9]).involutions() == []
 
+    @settings(deadline=None)
     @given(group_orders)
     def test_matches_brute_force(self, orders):
         g = make_group(orders)
@@ -261,6 +268,7 @@ class TestUnits:
     def test_units_mod_1_empty(self):
         assert units_mod(1) == []
 
+    @settings(deadline=None)
     @given(st.integers(min_value=1, max_value=200))
     def test_units_are_coprime_and_closed(self, e):
         us = units_mod(e)
@@ -283,6 +291,7 @@ class TestSubgroupGenerated:
         g = make_group([2, 9])
         assert g.subgroup_generated([]) == {(0, 0)}
 
+    @settings(deadline=None)
     @given(group_orders, st.data())
     def test_closure_is_subgroup(self, orders, data):
         g = make_group(orders)
@@ -351,10 +360,10 @@ class TestIsGeneratedBy:
                     yield row
 
         rows = [(1, 0), (1, 0), (0, 1), (1, 1)] + [(0, 0)] * 100
-        assert _has_full_rank_mod(Reads(rows, 3), (0, 1), 2)
-        assert not _has_full_rank_mod(Reads(rows[:2] + rows[4:], 200), (0, 1), 2)
+        assert _rank_mod(_reduced_rows(Reads(rows, 3), (0, 1), 2), 2, 2)[0]
+        assert not _rank_mod(_reduced_rows(Reads(rows[:2] + rows[4:], 200), (0, 1), 2), 2, 2)[0]
 
-    @settings(max_examples=300)
+    @settings(max_examples=300, deadline=None)
     @given(
         st.one_of(
             st.sampled_from([[4, 8], [9, 3, 6], [2, 2, 2, 2], [6, 10, 15], [8, 4, 2]]),
@@ -481,6 +490,7 @@ class TestIsGeneratedBy:
 
 
 class TestAddNegScale:
+    @settings(deadline=None)
     @given(group_orders, st.data())
     def test_group_laws(self, orders, data):
         g = make_group(orders)
